@@ -14,12 +14,16 @@ from .roots import (
     in_chamber,
 )
 from .special import (
+    SphericalRows,
     SphericalValue,
     m1_closed,
+    m1_closed_rows,
     m1_expectation,
     semicharacter,
     spherical_phi,
+    spherical_phi_rows,
     spherical_psi,
+    spherical_psi_rows,
 )
 from .kernels import (
     haar_orthogonal,
@@ -54,8 +58,9 @@ __all__ = [
     "__version__",
     "RootSystem", "RootSystemError", "WeylElement", "build_root_system",
     "chamber_project", "enumerate_weyl", "in_chamber",
-    "SphericalValue", "m1_closed", "m1_expectation", "semicharacter",
-    "spherical_phi", "spherical_psi",
+    "SphericalRows", "SphericalValue", "m1_closed", "m1_closed_rows",
+    "m1_expectation", "semicharacter", "spherical_phi", "spherical_phi_rows",
+    "spherical_psi", "spherical_psi_rows",
     "haar_orthogonal", "haar_unitary", "hermitian_spectrum", "jacobi_eigh",
     "log_singular_spectrum", "sample_biinvariant", "sample_orbit",
     "CheckResult", "EmpiricalMeasure", "SupportReport", "conv_group_cloud",

@@ -5,11 +5,15 @@ machine-readable output (JSON summaries, CSV point clouds/trajectories).
 
 Exit codes: 0 success, 1 verification-check failure, 2 usage error.
 
-CSV formats:
-  convolve clouds:  header ``c0,...,c{d-1}``, one centered spectrum per row.
-  walk trajectory:  header ``n,replica,q0,...,q{d-1},deviation`` where the q
-  columns are the coordinates of q(S_n)/n at checkpoint n and ``deviation``
-  is ``sqrt(n) * ||q(S_n)/n - m1||``.
+CSV formats (every field reads back with float(); the files that
+``convolve --out`` and ``walk --out`` write start with a line
+``# manifest: {...}`` holding the run manifest as JSON):
+  convolve clouds:  header ``x1,...,xd,weight``, one centered spectrum per
+  row with its weight 1/n.
+  walk trajectory:  header ``n,q1_over_n,...,qd_over_n,mz_scaled_dev``, one
+  row per checkpoint n of replica 0: the coordinates of q(S_n)/n, and
+  ``n^{-1/r} * ||q(S_n) - n c||`` with c the m1 limit and r the config's
+  r_exponent.
 
 Determinism: all randomness flows from --seed through documented substreams,
 and reductions are order-fixed, so --threads / CHAMBERWALK_THREADS (reserved

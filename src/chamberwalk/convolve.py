@@ -23,8 +23,8 @@ from .roots import RootSystem, build_root_system, in_chamber
 from .special import (
     log_semicharacter,
     log_semicharacter_rows,
-    spherical_phi,
-    spherical_psi,
+    spherical_phi_rows,
+    spherical_psi_rows,
 )
 
 #: slack added to the self-calibrated Hausdorff threshold
@@ -60,7 +60,8 @@ class EmpiricalMeasure:
         d = self.atoms.shape[1]
         buf.write(",".join([f"x{i+1}" for i in range(d)] + ["weight"]) + "\n")
         for a, w in zip(self.atoms, self.weights):
-            buf.write(",".join(f"{v!r}" for v in a) + f",{w!r}\n")
+            # row by row: plain-float reprs without a full-table Python copy
+            buf.write(",".join(map(repr, a.tolist() + [w.item()])) + "\n")
         return buf.getvalue()
 
 
@@ -164,7 +165,7 @@ def _test_function(rs: RootSystem, f):
         return lambda z: np.exp(-np.sum(z * z, axis=1))
     if isinstance(f, tuple) and len(f) == 2 and f[0] == "phi":
         lam = np.asarray(f[1], dtype=float)
-        return lambda z: np.array([spherical_phi(rs, lam, row).value for row in z])
+        return lambda z: spherical_phi_rows(rs, lam, z).value
     raise ValueError(f"unknown test function {f!r}; use 'bump' or ('phi', lambda)")
 
 
@@ -264,9 +265,8 @@ def spherical_transform_empirical(
         raise ValueError("which must be 'psi' or 'phi'")
     if rs is None:
         rs = _a_system(measure.atoms.shape[1])
-    fn = spherical_psi if which == "psi" else spherical_phi
-    lam = np.asarray(lam, dtype=float)
-    vals = np.array([np.conj(fn(rs, lam, a).value) for a in measure.atoms])
+    rows = spherical_psi_rows if which == "psi" else spherical_phi_rows
+    vals = np.conj(rows(rs, np.asarray(lam, dtype=float), measure.atoms).value)
     est = complex(np.sum(measure.weights * vals))
     dev = vals - est
     var = np.sum(measure.weights**2 * (dev.real**2 + dev.imag**2))

@@ -243,14 +243,15 @@ def sample_orbit(rs: RootSystem, x, rng) -> np.ndarray:
 def orbit_diagonal_batch(rs: RootSystem, x, n: int, rng) -> np.ndarray:
     """Chamber-coordinate projections of n Haar orbit samples, shape (n, dim).
 
-    For A these are the matrix diagonals |U|^2 x; for B/D the block
+    For A these are the matrix diagonals |U|^2 x, with U Haar in U(d): the
+    SU(d) phase correction cannot change |U|^2.  For B/D they are the block
     coordinates A[2j, 2j+1] of Q iota(x) Q^T.
     """
     if rs.family == "C":
         raise ValueError("family C has no matrix orbit realization")
     x = np.asarray(x, dtype=float)
     if rs.family == "A":
-        u = haar_unitary_batch(x.shape[0], n, rng, special=True)
+        u = haar_unitary_batch(x.shape[0], n, rng)
         return np.abs(u) ** 2 @ x
     m = 2 * rs.rank + (1 if rs.family == "B" else 0)
     q = haar_orthogonal_batch(m, n, rng)

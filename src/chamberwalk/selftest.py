@@ -17,7 +17,14 @@ import numpy as np
 
 from . import convolve, kernels, walk
 from .roots import build_root_system, chamber_project, min_root_pairing
-from .special import m1_closed, m1_mc, semicharacter, spherical_phi, spherical_psi
+from .special import (
+    m1_closed,
+    m1_closed_rows,
+    m1_mc,
+    semicharacter,
+    spherical_phi,
+    spherical_psi,
+)
 from .walk import WalkConfig, substream
 
 RHO_FORMULAS = {
@@ -81,7 +88,8 @@ def check_psi_vs_haar_mc(p, rng) -> CheckOutcome:
     for d in (2, 3):
         rs = build_root_system("A", d - 1)
         n = p["n_mc"]
-        w2 = np.abs(kernels.haar_unitary_batch(d, n, rng, special=True)) ** 2
+        # |U|^2 is blind to the SU(d) phase correction, so plain U(d) draws
+        w2 = np.abs(kernels.haar_unitary_batch(d, n, rng)) ** 2
         for _ in range(p["n_pts"]):
             x = _random_regular(rs, rng)
             lam = _random_regular_vec(rs, rng)
@@ -143,9 +151,8 @@ def check_m1_consistency(p, rng) -> CheckOutcome:
     from .roots import in_chamber
     for fam, rank in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
         rs = build_root_system(fam, rank)
-        for _ in range(200):
-            x = _random_regular(rs, rng, min_gap=0.0)
-            m1 = m1_closed(rs, x)
+        xs = np.array([_random_regular(rs, rng, min_gap=0.0) for _ in range(200)])
+        for x, m1 in zip(xs, m1_closed_rows(rs, xs)):
             if not in_chamber(rs, m1, tol=1e-9):
                 geo_bad += 1
             if np.linalg.norm(m1) > np.linalg.norm(x) + 1e-9:

@@ -1,17 +1,38 @@
 """Spherical functions on the chamber and the modified first-moment map.
 
-Three closed forms, all alternating sums over the Weyl group evaluated in
-the log domain:
+The closed forms, evaluated in the log domain:
 
 * ``semicharacter``   -- the positive semicharacter prod sinh<a,x>/<a,x>,
 * ``spherical_psi``   -- the flat (orbit hypergroup) spherical function,
 * ``spherical_phi``   -- the group spherical function, psi / semicharacter,
 * ``m1_closed``       -- the chamber-valued moment map driving the walk limit.
 
+psi, phi and m1 are alternating sums over the Weyl group W, all computed by
+one batched kernel over a (rows x |W|) array: the numerator
+sum_w det w e^{i<w.x, lambda>}, the denominator sum_w det w e^{<w.x, rho>}
+and the first moment sum_w det w (w.x) e^{<w.x, rho>}.  The row forms
+``spherical_psi_rows``, ``spherical_phi_rows`` and ``m1_closed_rows`` take a
+batch ``xs`` of shape (n, dim) (one lambda for all rows) in one call; the
+per-point functions are their one-row cases and give bit-identical values.
+
 The alternating-sum prefactor is pinned by the normalization psi_lambda(0)=1:
 with rho the *sum* of positive roots it is pi(rho) / 2**n_roots, i.e.
 pi(rho/2).  This is cross-checked against the Haar-integral Monte Carlo
 oracle in the test suite.
+
+Accuracy.  ``est_abs_error`` is an error bound computed in the same pass:
+  * at a regular point, the rounding bound
+    eps * sum_w (1 + |z_w|) |e^{z_w - m}| times the prefactor's modulus, for
+    each alternating sum (z_w its exponents, m their largest real part).  The
+    sums cancel when x is small or near a wall, most in C_3, D_4 and higher
+    rank; there the bound grows with the lost digits, up to inf when a sum
+    cancels to exactly 0, and the value means no more than the bound says.
+  * on a wall (min |<alpha, x>| or min |<alpha, lambda>| below EPS_REG),
+    where the sums are 0/0, the value is the mean of the regular values at
+    four fixed offsets of size 1e-5, with ``regularized=True``, and the
+    bound is their spread plus their largest rounding bound.  m1 uses the
+    same offsets of x.
+  * x = 0 or lambda = 0 gives exactly 1 (m1: exactly 0), with bound 0.
 """
 
 from __future__ import annotations
@@ -22,13 +43,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roots import RootSystem, min_root_pairing
+from .roots import RootSystem
 
 #: regularity threshold on min |<alpha, x>|, |<alpha, lambda>|
 EPS_REG = 1e-8
 
-#: magnitude of the randomized wall perturbations
+#: magnitude of the fixed wall-rule perturbations
 _PERTURB = 1e-5
+
+#: cap on the entries of one chunk's (rows x |W| x dim) work array
+_CHUNK_ENTRIES = 1 << 20
+
+_EPS = float(np.finfo(float).eps)
 
 _LOG2 = math.log(2.0)
 
@@ -89,10 +115,17 @@ def _weyl_arrays(family: str, rank: int):
     return perms, signs, dets
 
 
-def _weyl_images(rs: RootSystem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All w.x stacked as rows, plus the det signs."""
-    perms, signs, dets = _weyl_arrays(rs.family, rs.rank)
-    return signs * x[perms], dets
+@lru_cache(maxsize=None)
+def _constants(family: str, rank: int) -> tuple[float, float, np.ndarray]:
+    """log pi(rho/2) (psi's normalization), log pi(rho), and m1's shift."""
+    from .roots import build_root_system
+
+    rs = build_root_system(family, rank)
+    pairings = rs.positive_roots @ rs.rho
+    log_pi_rho = float(np.sum(np.log(pairings)))
+    shift = rs.positive_roots.T @ (1.0 / pairings)
+    shift.setflags(write=False)
+    return log_pi_rho - rs.n_positive_roots * _LOG2, log_pi_rho, shift
 
 
 def _log_sinhc(t):
@@ -131,115 +164,206 @@ def _check_vec(rs: RootSystem, v, dtype=float) -> np.ndarray:
     return v
 
 
-def _log_pi(rs: RootSystem, v) -> complex:
-    # complex log of the alternating polynomial; caller guarantees no factor is 0
-    return complex(np.sum(np.log((rs.positive_roots @ v).astype(complex))))
+def _log_pi_rows(rs: RootSystem, vs: np.ndarray) -> np.ndarray:
+    # complex log of the alternating polynomial per row; no factor may be 0
+    return np.log((vs @ rs.positive_roots.T).astype(complex)).sum(axis=1)
 
 
-def _log_c0(rs: RootSystem) -> float:
-    # normalization constant pi(rho/2), in logs
-    return float(np.sum(np.log(rs.positive_roots @ rs.rho))) - rs.n_positive_roots * _LOG2
-
-
-def _psi_regular(rs: RootSystem, lam: np.ndarray, x: np.ndarray) -> complex:
-    wx, dets = _weyl_images(rs, x)
-    z = 1j * (wx @ lam)
-    m = float(z.real.max())
-    s = complex(np.sum(dets * np.exp(z - m)))
-    log_ratio = _log_c0(rs) + m - _log_pi(rs, x) - _log_pi(rs, 1j * lam)
-    return s * complex(np.exp(log_ratio))
-
-
-def _phi_regular(rs: RootSystem, lam: np.ndarray, x: np.ndarray) -> complex:
-    wx, dets = _weyl_images(rs, x)
-    zn = 1j * (wx @ lam)
-    zd = wx @ rs.rho
-    mn = float(zn.real.max())
-    md = float(zd.max())
-    sn = complex(np.sum(dets * np.exp(zn - mn)))
-    sd = float(np.sum(dets * np.exp(zd - md)))
-    log_pi_rho = float(np.sum(np.log(rs.positive_roots @ rs.rho)))
-    log_ratio = log_pi_rho - _log_pi(rs, 1j * lam) + (mn - md)
-    return (sn / sd) * complex(np.exp(log_ratio))
-
-
-def _perturbed_average(fn, rs, lam, x) -> SphericalValue:
-    # 0/0 on a chamber wall; the function itself is smooth, so average a few
-    # nearby regular evaluations and report the spread
+def _wall_offsets(family: str, dim: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The fixed (dx, dlambda) pairs of the wall rule, each of norm _PERTURB."""
     rng = np.random.default_rng(0x5EED)
-    vals = []
+    pairs = []
     for _ in range(4):
-        dx = rng.standard_normal(x.shape)
+        dx = rng.standard_normal(dim)
         dx *= _PERTURB / np.linalg.norm(dx)
-        if rs.family == "A":
+        if family == "A":
             dx -= dx.mean()
-        dl = rng.standard_normal(x.shape)
+        dl = rng.standard_normal(dim)
         dl *= _PERTURB / np.linalg.norm(dl)
-        vals.append(fn(rs, lam + dl, x + dx))
-    vals = np.array(vals)
-    mean = complex(vals.mean())
-    spread = float(np.max(np.abs(vals - mean)))
-    return SphericalValue(mean, True, spread)
+        pairs.append((dx, dl))
+    return pairs
 
 
-def _eval_spherical(fn, rs: RootSystem, lam, x) -> SphericalValue:
+def _ordered_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    # a strictly left-to-right sum: ndarray.sum's pairwise order depends on
+    # the layout, and a row's value must not depend on the rows beside it
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis)
+
+
+def _pairing(wx: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # <w.x, v> for every row and w
+    if np.iscomplexobj(v) and v.imag.any():
+        return _ordered_sum(wx * v, axis=2)
+    return _ordered_sum(wx * v.real, axis=2)
+
+
+def _alt_terms(z: np.ndarray, dets: np.ndarray):
+    """Row-wise terms det w * e^(z_w - m) of an alternating sum, m = max Re z_w."""
+    m = z.real.max(axis=1, keepdims=True)
+    return dets * np.exp(z - m), m[:, 0]
+
+
+def _rounding_bound(z: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    # eps * sum_w (1 + |z_w|) |e^(z_w - m)|: each exponential's own rounding
+    # plus the absolute rounding of z_w that it amplifies
+    return _EPS * ((1.0 + np.abs(z)) * np.abs(terms)).sum(axis=1)
+
+
+def _regular_rows(rs: RootSystem, kind: str, lam, xs: np.ndarray):
+    """The alternating-sum closed forms at rows off every wall.
+
+    Returns (values, rounding bounds): the values are psi or phi at
+    (lam, row), or m1 at the row (kind "m1": lam unused, bounds 0).  Rows
+    go through in chunks whose (rows x |W| x dim) work arrays stay below
+    _CHUNK_ENTRIES entries.
+    """
+    perms, signs, dets = _weyl_arrays(rs.family, rs.rank)
+    log_c0, log_pi_rho, shift = _constants(rs.family, rs.rank)
+    n, dim = xs.shape
+    values = np.empty((n, dim)) if kind == "m1" else np.empty(n, dtype=complex)
+    bounds = np.zeros(n)
+    if n == 0:
+        return values, bounds
+    if kind != "m1":
+        log_pi_lam = _log_pi_rows(rs, 1j * lam[None, :])
+    step = max(1, _CHUNK_ENTRIES // (dets.size * dim))
+    for lo in range(0, n, step):
+        x = xs[lo : lo + step]
+        wx = signs * x[:, perms]  # (rows, |W|, dim): every w.x
+        if kind != "psi":
+            zd = _pairing(wx, rs.rho)
+            td, md = _alt_terms(zd, dets)
+            sd = _ordered_sum(td, axis=1)
+        if kind == "m1":
+            moment = _ordered_sum(td[:, :, None] * wx, axis=1)
+            values[lo : lo + step] = moment / sd[:, None] - shift
+            continue
+        zn = 1j * _pairing(wx, lam)
+        tn, mn = _alt_terms(zn, dets)
+        sn = _ordered_sum(tn, axis=1)
+        bn = _rounding_bound(zn, tn)
+        if kind == "psi":
+            pre = np.exp(log_c0 + mn - _log_pi_rows(rs, x) - log_pi_lam)
+            bounds[lo : lo + step] = bn * np.abs(pre)
+        else:
+            pre = np.exp(log_pi_rho - log_pi_lam + (mn - md)) / sd
+            bd = _rounding_bound(zd, td)
+            bounds[lo : lo + step] = (bn + np.abs(sn / sd) * bd) * np.abs(pre)
+        values[lo : lo + step] = sn * pre
+    return values, bounds
+
+
+def _kernel(rs: RootSystem, kind: str, lam, xs: np.ndarray):
+    """psi, phi or m1 on every row of ``xs``, with the zero and wall rules.
+
+    Returns (values, regularized, est_abs_error).  A zero row (or lam = 0)
+    gives exactly 1 for psi and phi, and 0 for m1.  A row with
+    min |<alpha, x>| or min |<alpha, lam>| below EPS_REG sits on a wall,
+    where the sums are 0/0: its value is the mean of the regular
+    evaluations at the four fixed offsets of _wall_offsets, and its error
+    estimate is their spread plus their largest rounding bound.
+    """
+    n = xs.shape[0]
+    if kind == "m1":
+        values = np.zeros((n, rs.ambient_dim))
+        live = xs.any(axis=1)
+        gap_lam = math.inf
+    else:
+        values = np.ones(n, dtype=complex)
+        live = xs.any(axis=1) & bool(lam.any())
+        gap_lam = float(np.abs(rs.positive_roots @ lam).min())
+    errors = np.zeros(n)
+    gaps = np.abs(xs @ rs.positive_roots.T).min(axis=1)
+    wall = live & (np.minimum(gaps, gap_lam) < EPS_REG)
+    regular = live & ~wall
+    if regular.all():
+        values, errors = _regular_rows(rs, kind, lam, xs)
+    else:
+        values[regular], errors[regular] = _regular_rows(rs, kind, lam, xs[regular])
+    if wall.any():
+        xw = xs[wall]
+        near = [_regular_rows(rs, kind, None if lam is None else lam + dl, xw + dx)
+                for dx, dl in _wall_offsets(rs.family, rs.ambient_dim)]
+        vals = np.stack([v for v, _ in near])
+        mean = _ordered_sum(vals, axis=0) / len(near)
+        spread = np.abs(vals - mean)
+        if kind == "m1":
+            spread = np.linalg.norm(spread, axis=-1)
+        values[wall] = mean
+        errors[wall] = spread.max(axis=0) + np.max([b for _, b in near], axis=0)
+    if kind != "m1":
+        # a sum that cancelled to exactly 0 leaves no digits to bound
+        errors[~np.isfinite(values)] = np.inf
+    return values, wall, errors
+
+
+def _check_rows(rs: RootSystem, xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != rs.ambient_dim:
+        raise ValueError(
+            f"expected rows of length {rs.ambient_dim}, got shape {xs.shape}"
+        )
+    return xs
+
+
+@dataclass(frozen=True)
+class SphericalRows:
+    """Row-wise SphericalValue fields: one entry per row of the input."""
+
+    value: np.ndarray          # (n,) complex
+    regularized: np.ndarray    # (n,) bool
+    est_abs_error: np.ndarray  # (n,) float
+
+
+def _spherical_rows(kind: str, rs: RootSystem, lam, xs) -> SphericalRows:
     lam = _check_vec(rs, lam, dtype=complex)
-    x = _check_vec(rs, x)
-    if not x.any() or not lam.any():
-        return SphericalValue(1.0 + 0.0j)
-    gap_x = min_root_pairing(rs, x)
-    gap_l = min_root_pairing(rs, lam)
-    if min(gap_x, gap_l) < EPS_REG:
-        return _perturbed_average(fn, rs, lam, x)
-    return SphericalValue(fn(rs, lam, x))
+    return SphericalRows(*_kernel(rs, kind, lam, _check_rows(rs, xs)))
+
+
+def _spherical_value(kind: str, rs: RootSystem, lam, x) -> SphericalValue:
+    lam = _check_vec(rs, lam, dtype=complex)
+    value, wall, error = _kernel(rs, kind, lam, _check_vec(rs, x)[None, :])
+    return SphericalValue(complex(value[0]), bool(wall[0]), float(error[0]))
+
+
+def spherical_psi_rows(rs: RootSystem, lam, xs) -> SphericalRows:
+    """spherical_psi at (lam, x) for every row x of ``xs``, in one pass."""
+    return _spherical_rows("psi", rs, lam, xs)
+
+
+def spherical_phi_rows(rs: RootSystem, lam, xs) -> SphericalRows:
+    """spherical_phi at (lam, x) for every row x of ``xs``, in one pass."""
+    return _spherical_rows("phi", rs, lam, xs)
 
 
 def spherical_psi(rs: RootSystem, lam, x) -> SphericalValue:
     """Spherical function of the orbit hypergroup (Harish-Chandra sum form).
 
     W-invariant in both arguments; equals the Haar integral of
-    exp(i<lambda, k.x>) over the compact group.  Near chamber walls the value
-    is obtained by perturb-and-average with ``regularized=True``.
+    exp(i<lambda, k.x>) over the compact group.  On chamber walls the value
+    is the wall rule's average, with ``regularized=True``; ``est_abs_error``
+    bounds the rounding error (see the module docstring).
     """
-    return _eval_spherical(_psi_regular, rs, lam, x)
+    return _spherical_value("psi", rs, lam, x)
 
 
 def spherical_phi(rs: RootSystem, lam, x) -> SphericalValue:
     """Spherical function of the double-coset hypergroup: psi / semicharacter."""
-    return _eval_spherical(_phi_regular, rs, lam, x)
+    return _spherical_value("phi", rs, lam, x)
 
 
-def _m1_regular(rs: RootSystem, x: np.ndarray) -> np.ndarray:
-    wx, dets = _weyl_images(rs, x)
-    e = wx @ rs.rho
-    m = float(e.max())
-    terms = dets * np.exp(e - m)
-    den = float(terms.sum())
-    num = terms @ wx
-    shift = rs.positive_roots.T @ (1.0 / (rs.positive_roots @ rs.rho))
-    return num / den - shift
+def m1_closed_rows(rs: RootSystem, xs) -> np.ndarray:
+    """m1_closed applied to each row of ``xs``, shape (n, dim)."""
+    return _kernel(rs, "m1", None, _check_rows(rs, xs))[0]
 
 
 def m1_closed(rs: RootSystem, x) -> np.ndarray:
     """The modified moment map m1(x), a chamber point with ||m1(x)|| <= ||x||.
 
-    Alternating-sum closed form; exact 0 at x = 0, perturb-and-average on
-    chamber walls.
+    Alternating-sum closed form; exact 0 at x = 0, the wall rule's average
+    on chamber walls.
     """
-    x = _check_vec(rs, x)
-    if not x.any():
-        return np.zeros(rs.ambient_dim)
-    if min_root_pairing(rs, x) < EPS_REG:
-        rng = np.random.default_rng(0x5EED)
-        vals = []
-        for _ in range(4):
-            dx = rng.standard_normal(x.shape)
-            dx *= _PERTURB / np.linalg.norm(dx)
-            if rs.family == "A":
-                dx -= dx.mean()
-            vals.append(_m1_regular(rs, x + dx))
-        return np.mean(vals, axis=0)
-    return _m1_regular(rs, x)
+    return _kernel(rs, "m1", None, _check_vec(rs, x)[None, :])[0][0]
 
 
 def m1_mc(rs: RootSystem, x, n: int, rng, chunk: int = 100_000):
@@ -290,8 +414,5 @@ def m1_expectation(rs: RootSystem, atoms, weights) -> np.ndarray:
         raise ValueError("one weight per atom required")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
-    out = np.zeros(rs.ambient_dim)
-    for a, w in zip(atoms, weights):
-        if w:
-            out += w * m1_closed(rs, a)
-    return out
+    live = weights > 0
+    return weights[live] @ m1_closed_rows(rs, atoms[live])

@@ -111,7 +111,7 @@ class WalkReport:
         d = len(self.limit_c)
         lines = [",".join(["n"] + [f"q{i+1}_over_n" for i in range(d)] + ["mz_scaled_dev"])]
         for n, t, dev in zip(self.checkpoints, self.trajectory, self.mz_scaled_deviation):
-            lines.append(",".join([str(n)] + [f"{v!r}" for v in t] + [f"{dev!r}"]))
+            lines.append(",".join(map(repr, [n] + t.tolist() + [dev])))
         return "\n".join(lines) + "\n"
 
 

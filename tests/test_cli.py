@@ -184,3 +184,46 @@ def test_selftest_mutation_fails(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "st")])
     capsys.readouterr()
     assert code == 1
+
+
+def _read_csv(path):
+    """(header, rows) of a CLI CSV, every field parsed with float()."""
+    lines = path.read_text().splitlines()
+    if lines[0].startswith("# manifest: "):
+        lines = lines[1:]
+    return lines[0].split(","), [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+
+
+def test_every_cli_csv_parses_as_plain_floats(tmp_path, capsys, monkeypatch):
+    prefix = tmp_path / "cloud"
+    assert main(["convolve", "group", "--d", "3", "--x", "[1,0,-1]",
+                 "--y", "[0.5,0,-0.5]", "--n", "300", "--seed", "4",
+                 "--out", str(prefix)]) == 0
+    header, rows = _read_csv(tmp_path / "cloud.csv")
+    assert header == ["x1", "x2", "x3", "weight"]
+    summary = json.loads((tmp_path / "cloud.json").read_text())
+    cloud = np.array(rows)
+    assert cloud.shape == (300, 4)
+    assert np.allclose(cloud[:, :3].mean(axis=0), summary["mean"], rtol=0, atol=1e-15)
+    assert np.all(cloud[:, 3] == 1.0 / 300)
+
+    prefix = tmp_path / "walk"
+    assert main(["walk", "--d", "2", "--x", "[0.5,-0.5]", "--n", "40",
+                 "--seed", "4", "--out", str(prefix)]) == 0
+    header, rows = _read_csv(tmp_path / "walk.csv")
+    report = json.loads((tmp_path / "walk.json").read_text())
+    assert [r[0] for r in rows] == report["checkpoints"]
+    assert [r[1:3] for r in rows] == report["trajectory"]
+    assert [r[3] for r in rows] == report["mz_scaled_deviation"]
+
+    import chamberwalk.selftest as st
+
+    monkeypatch.setattr(st, "FAST", {**st.FAST, "n_mc": 2000, "n_conv": 2000,
+                                     "n_supp": 200, "n_extent": 2000, "lln_steps": 64,
+                                     "lln_reps": 1, "ks_reps": 120, "ks_steps": 10,
+                                     "qr_walks": 3, "contract_pairs": 10, "n_pts": 1})
+    main(["selftest", "--level", "fast", "--seed", "0", "--out", str(tmp_path / "st")])
+    capsys.readouterr()
+    header, rows = _read_csv(tmp_path / "st" / "walk_trajectory.csv")
+    assert header == ["n", "q1_over_n", "q2_over_n", "q3_over_n", "mz_scaled_dev"]
+    assert rows[-1][0] == 64
