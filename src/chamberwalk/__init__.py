@@ -39,9 +39,7 @@ from .convolve import (
     EmpiricalMeasure,
     SupportReport,
     conv_group_cloud,
-    conv_group_sample,
     conv_hermitian_cloud,
-    conv_hermitian_sample,
     deformation_check,
     support_equivalence,
 )
@@ -64,8 +62,7 @@ __all__ = [
     "haar_orthogonal", "haar_unitary", "hermitian_spectrum", "jacobi_eigh",
     "log_singular_spectrum", "sample_biinvariant", "sample_orbit",
     "CheckResult", "EmpiricalMeasure", "SupportReport", "conv_group_cloud",
-    "conv_group_sample", "conv_hermitian_cloud", "conv_hermitian_sample",
-    "deformation_check", "support_equivalence",
+    "conv_hermitian_cloud", "deformation_check", "support_equivalence",
     "ProductAccumulator", "WalkConfig", "WalkReport",
     "euclidean_walk_crosscheck", "run_group_walk", "substream",
 ]

@@ -16,10 +16,9 @@ CSV formats (every field reads back with float(); the files that
   r_exponent.
 
 Determinism: all randomness flows from --seed through documented substreams,
-and reductions are order-fixed, so --threads / CHAMBERWALK_THREADS (reserved
-for worker pools) never changes any output byte.  Every output file embeds
-its RunManifest; wall-time is reported on stderr only, so reruns with the
-same manifest are byte-identical.
+and reductions are order-fixed.  Every output file embeds its RunManifest;
+wall-time is reported on stderr only, so reruns with the same manifest are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -229,9 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("CHAMBERWALK_THREADS", "1")),
-                        help="worker pool size (results are independent of it)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -151,14 +151,6 @@ def conv_group_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     return out
 
 
-def conv_hermitian_sample(d: int, x, y, rng) -> np.ndarray:
-    return conv_hermitian_cloud(d, x, y, 1, rng)[0]
-
-
-def conv_group_sample(d: int, x, y, rng) -> np.ndarray:
-    return conv_group_cloud(d, x, y, 1, rng)[0]
-
-
 def _test_function(rs: RootSystem, f):
     """Resolve a test-function tag: 'bump' or ('phi', lambda)."""
     if f == "bump":

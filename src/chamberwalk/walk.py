@@ -7,19 +7,19 @@ The strong law says q(S_n)/n converges to the m1-average of the step measure;
 in law against the additive walk of tilted orbit samples, and `mz_rate_scan`
 probes the Marcinkiewicz-Zygmund rate.
 
-Accumulator note: the product is kept as Q . diag(e^L) . C with Q unitary,
-L the accumulated log-diagonal of the QR recursion (Benettin) and C a bounded
-scaled triangular factor.  Keeping C makes the read-out an *exact* singular
-spectrum whenever the spread of L is representable in double precision; the
-plain Benettin diagonal alone has an O(1) offset from the true log-singular
-values at finite n and would fail the short-horizon exactness contract.
+Accumulator note: the product is kept as Q . diag(e^L) . T with Q unitary,
+L the log-diagonal of the QR recursion and T triangular with unit-modulus
+diagonal.  The read-out is one-sided Jacobi on the column-graded factor
+T^H diag(e^L) with no e^L ever formed, the high-relative-accuracy regime of
+Demmel & Veselic (SIAM J. Matrix Anal. Appl. 1992): exact to rounding at
+every spread, reducing to Gram-Schmidt deflation where e^{-spread} underflows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import ks_2samp, theilslopes
@@ -28,13 +28,19 @@ from . import kernels
 from .roots import RootSystem, build_root_system, in_chamber
 from .special import log_semicharacter, m1_expectation
 
-#: L-spread (in logs) up to which the read-out reconstructs the product
-_SVD_SPREAD = 40.0
-
 #: two-sample KS coefficient at the 1% level
 KS_COEFF_1PCT = 1.628
 
 _REJECTION_RHO_X_MAX = 30.0
+
+#: read-out sweeps stop once every pair of unit columns has |<u_p, u_q>| below this
+_JACOBI_TOL = 1e-14
+_JACOBI_SWEEPS = 30
+
+#: steps drawn per replica at a time (fixes each replica's sample path), and
+#: the cap on the entries of one replica block's step buffer
+_CHUNK = 1024
+_STEP_ENTRIES = 1 << 20
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -50,16 +56,13 @@ class WalkConfig:
     n_steps: int
     n_replicas: int = 1
     seed: int = 0
-    renorm_period: int = 1
     r_exponent: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", np.atleast_2d(np.asarray(self.atoms, dtype=float)))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.n_steps < 1:
-            raise ValueError("n_steps >= 1 required")
-        if self.renorm_period < 1:
-            raise ValueError("renorm_period >= 1 required")
+        if self.n_steps < 1 or self.n_replicas < 1:
+            raise ValueError("n_steps >= 1 and n_replicas >= 1 required")
         if not (1.0 <= self.r_exponent < 2.0):
             raise ValueError("r_exponent must lie in [1, 2)")
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0):
@@ -74,6 +77,9 @@ class WalkConfig:
     @classmethod
     def from_json(cls, text: str) -> "WalkConfig":
         data = json.loads(text)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown WalkConfig keys: {', '.join(unknown)}")
         return cls(
             d=int(data["d"]),
             atoms=np.asarray(data["atoms"], dtype=float),
@@ -81,7 +87,6 @@ class WalkConfig:
             n_steps=int(data["n_steps"]),
             n_replicas=int(data.get("n_replicas", 1)),
             seed=int(data.get("seed", 0)),
-            renorm_period=int(data.get("renorm_period", 1)),
             r_exponent=float(data.get("r_exponent", 1.0)),
         )
 
@@ -119,7 +124,8 @@ class ProductAccumulator:
     """Overflow-safe factored form of a growing matrix product.
 
     Internally tracks the conjugate-transposed product (same singular
-    values), so updates are plain left QR steps.
+    values), so updates are plain left QR steps.  A stack of steps, shape
+    (..., d, d), advances a batch of products with the same leading axes.
     """
 
     def __init__(self, d: int):
@@ -129,95 +135,115 @@ class ProductAccumulator:
         self.tri = np.eye(d, dtype=complex)
 
     def update(self, z: np.ndarray) -> None:
-        q2, r = np.linalg.qr(z.conj().T @ self.q)
-        rd = np.abs(np.diagonal(r))
+        q2, r = np.linalg.qr(np.conj(np.swapaxes(z, -1, -2)) @ self.q)
+        rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         if np.any(rd == 0.0) or not np.all(np.isfinite(rd)):
             raise FloatingPointError("R diagonal underflow in the QR accumulator")
-        # T' = R diag(e^L) C, rows rescaled back to unit log-diagonal
-        diff = np.triu(self.logs[None, :] - self.logs[:, None])
-        m = np.triu(r) * np.exp(diff) / rd[:, None]
+        # T' = R diag(e^L) T, rows rescaled back to unit log-diagonal
+        diff = np.triu(self.logs[..., None, :] - self.logs[..., :, None])
+        m = np.triu(r) * np.exp(diff) / rd[..., :, None]
         self.tri = m @ self.tri
         self.logs = self.logs + np.log(rd)
         self.q = q2
 
     def readout(self) -> np.ndarray:
-        """Descending, zero-centered log-singular spectrum of the product."""
-        spread = float(self.logs.max() - self.logs.min())
-        if spread <= _SVD_SPREAD:
-            t = np.exp(self.logs - self.logs.mean())[:, None] * self.tri
-            s = np.linalg.svd(t, compute_uv=False)
-            out = np.log(s) + self.logs.mean()
+        """Descending, zero-centered log-singular spectrum, shape (..., d).
+
+        Column j of T^H diag(e^L) is a unit vector u_j and a log norm s_j.
+        With g = <u_hi, u_lo> = |g| ph, r = e^{-|s_hi - s_lo|}, w = (1-r^2)/(2|g|)
+        and tau = 1/(w + sqrt(r^2 + w^2)), the pair becomes the orthogonal
+        (u_hi + r^2 tau conj(ph) u_lo, u_lo - tau ph u_hi) / sqrt(1 + r^2 tau^2).
+        Raises FloatingPointError when the sweeps do not converge.
+        """
+        norms = np.linalg.norm(self.tri, axis=-1)
+        u = np.conj(self.tri) / norms[..., None]
+        s = self.logs + np.log(norms)
+        for _ in range(_JACOBI_SWEEPS):
+            converged = True
+            for p in range(self.d - 1):
+                for q in range(p + 1, self.d):
+                    a, b = u[..., p, :], u[..., q, :]
+                    g = np.sum(np.conj(a) * b, axis=-1)
+                    live = ~(np.abs(g) <= _JACOBI_TOL)  # NaN never converges
+                    if not live.any():
+                        continue
+                    converged = False
+                    ag = np.where(live, np.abs(g), 1.0)
+                    ph = g / ag
+                    r = np.exp(-np.abs(s[..., p] - s[..., q]))
+                    w = (1.0 - r * r) / (2.0 * ag)
+                    tau = np.where(live, 1.0 / (w + np.sqrt(r * r + w * w)), 0.0)
+                    p_hi = s[..., p] >= s[..., q]
+                    k_p = np.where(p_hi, r * r * tau, -tau) * np.conj(ph)
+                    k_q = np.where(p_hi, -tau, r * r * tau) * ph
+                    new_p, new_q = a + k_p[..., None] * b, b + k_q[..., None] * a
+                    log_c = -0.5 * np.log1p((r * tau) ** 2)
+                    for j, v in ((p, new_p), (q, new_q)):
+                        norm = np.linalg.norm(v, axis=-1)
+                        s[..., j] += log_c + np.log(norm)
+                        u[..., j, :] = v / norm[..., None]
+            if converged:
+                break
         else:
-            # far regime: the Benettin diagonal (O(1) absolute offset,
-            # vanishing after the /n normalization)
-            out = np.sort(self.logs)[::-1].copy()
-        out = np.sort(out)[::-1]
-        return out - out.mean()
-
-
-def qr_accumulate(state: ProductAccumulator, z: np.ndarray) -> ProductAccumulator:
-    """Fold one step into the product state (mutates and returns it)."""
-    state.update(z)
-    return state
+            raise FloatingPointError(
+                f"Jacobi read-out did not converge in {_JACOBI_SWEEPS} sweeps")
+        out = -np.sort(-s, axis=-1)
+        return out - out.mean(axis=-1, keepdims=True)
 
 
 def _checkpoints(n: int) -> list[int]:
-    cps = []
-    k = 1
-    while 2**k < n:
-        cps.append(2**k)
-        k += 1
-    cps.append(n)
-    return cps
+    """The powers of two below n, then n."""
+    return [2**k for k in range(1, (n - 1).bit_length())] + [n]
 
 
 def _step_matrices(cfg: WalkConfig, idx: np.ndarray, rng) -> np.ndarray:
-    """Biinvariant steps U e^{x} V for the given atom indices, shape (m,d,d)."""
+    """Biinvariant steps U e^{x} V for the given atom indices, shape (m,d,d).
+
+    U, V are Haar in U(d): a scalar phase cannot change a singular value.
+    """
     m = idx.shape[0]
-    u = kernels.haar_unitary_batch(cfg.d, m, rng, special=True)
-    v = kernels.haar_unitary_batch(cfg.d, m, rng, special=True)
+    u = kernels.haar_unitary_batch(cfg.d, m, rng)
+    v = kernels.haar_unitary_batch(cfg.d, m, rng)
     ex = np.exp(cfg.atoms[idx])
     return (u * ex[:, None, :]) @ v
 
 
 def run_group_walk(cfg: WalkConfig) -> WalkReport:
-    """Run the biinvariant product walk and compare against the m1 limit."""
+    """Run the biinvariant product walk and compare against the m1 limit.
+
+    Replica r draws from substream(seed, r); replicas step together in blocks.
+    """
     rs = build_root_system("A", cfg.d - 1)
     limit_c = m1_expectation(rs, cfg.atoms, cfg.weights)
     cps = _checkpoints(cfg.n_steps)
-
-    trajectories: list[list[np.ndarray]] = []
+    block = max(1, _STEP_ENTRIES // (_CHUNK * cfg.d * cfg.d))
     final_errors = []
-    for rep in range(cfg.n_replicas):
-        rng = substream(cfg.seed, rep)
-        idx = rng.choice(len(cfg.weights), size=cfg.n_steps, p=cfg.weights)
+    for first in range(0, cfg.n_replicas, block):
+        rngs = [substream(cfg.seed, rep)
+                for rep in range(first, min(first + block, cfg.n_replicas))]
+        idx = [rng.choice(len(cfg.weights), size=cfg.n_steps, p=cfg.weights)
+               for rng in rngs]
         acc = ProductAccumulator(cfg.d)
         traj = []
-        chunk = 1024
-        pos = 0
-        cp_iter = iter(cps)
-        next_cp = next(cp_iter)
-        while pos < cfg.n_steps:
-            m = min(chunk, cfg.n_steps - pos)
-            zs = _step_matrices(cfg, idx[pos : pos + m], rng)
-            for i in range(m):
-                acc.update(zs[i])
-                step = pos + i + 1
-                if step == next_cp:
+        for pos in range(0, cfg.n_steps, _CHUNK):
+            zs = np.stack([_step_matrices(cfg, ix[pos : pos + _CHUNK], rng)
+                           for ix, rng in zip(idx, rngs)], axis=1)
+            for step, z in enumerate(zs, start=pos + 1):
+                acc.update(z)
+                if step in cps:
                     traj.append(acc.readout() / step)
-                    next_cp = next(cp_iter, None)
-            pos += m
-        trajectories.append(traj)
-        final_errors.append(float(np.linalg.norm(traj[-1] - limit_c)))
+        if first == 0:
+            trajectory = [t[0] for t in traj]
+        final_errors += [float(np.linalg.norm(t - limit_c)) for t in traj[-1]]
 
     r = cfg.r_exponent
     mz = [
         float(n ** (-1.0 / r) * np.linalg.norm(n * t - n * limit_c))
-        for n, t in zip(cps, trajectories[0])
+        for n, t in zip(cps, trajectory)
     ]
     return WalkReport(
         checkpoints=cps,
-        trajectory=trajectories[0],
+        trajectory=trajectory,
         limit_c=limit_c,
         final_error=max(final_errors),
         final_errors=final_errors,
@@ -239,8 +265,9 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     """n accepted samples from the e_rho-tilted SU(d) orbit measure at x.
 
     Rejection sampling against the Haar orbit with envelope exp(<rho, x>)
-    (dominance of the rho-pairing at the chamber representative).  Returns
-    (matrices (n,d,d), n_proposed).
+    (dominance of the rho-pairing at the chamber representative).  The
+    orbit U x U* is drawn with U Haar in U(d), whose phase cancels.
+    Returns (matrices (n,d,d), n_proposed).
     """
     rs = build_root_system("A", d - 1)
     x = np.asarray(x, dtype=float)
@@ -250,7 +277,6 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     if rho_x > _REJECTION_RHO_X_MAX:
         raise ValueError("<rho, x> too large for rejection sampling (cap 30)")
     if not x.any():
-        u = kernels.haar_unitary_batch(d, n, rng, special=True)
         return np.zeros((n, d, d), dtype=complex), n
 
     rate = rejection_rate(rs, x)
@@ -259,7 +285,7 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     proposed = 0
     while got < n:
         m = max(int(math.ceil((n - got) / rate * 1.2)), 16)
-        u = kernels.haar_unitary_batch(d, m, rng, special=True)
+        u = kernels.haar_unitary_batch(d, m, rng)
         mats = (u * x[None, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
         v = np.einsum("nii->ni", mats).real
         log_acc = v @ rs.rho - rho_x
@@ -274,14 +300,6 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
         got += take
         proposed += m
     return out, proposed
-
-
-def sample_orbit_weighted(rs: RootSystem, x, rng) -> np.ndarray:
-    """One orbit element distributed with density e^{<rho, k.x>} against Haar."""
-    if rs.family != "A":
-        raise ValueError("the tilted orbit sampler is realized for family A only")
-    mats, _ = tilted_orbit_batch(rs.ambient_dim, x, 1, rng)
-    return mats[0]
 
 
 @dataclass
@@ -316,16 +334,13 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
         raise ValueError("crosscheck is a short-horizon tool; n_steps <= 200")
     d, reps, n = cfg.d, cfg.n_replicas, cfg.n_steps
 
-    # group side, batched across replicas
+    # group side: one accumulator over the replica batch
     rng_g = substream(cfg.seed, 0)
     idx = rng_g.choice(len(cfg.weights), size=(reps, n), p=cfg.weights)
-    prod = np.tile(np.eye(d, dtype=complex), (reps, 1, 1))
+    acc = ProductAccumulator(d)
     for step in range(n):
-        z = _step_matrices(cfg, idx[:, step], rng_g)
-        prod = prod @ z
-    s = np.linalg.svd(prod, compute_uv=False)
-    q_logs = np.log(s)
-    q_logs -= q_logs.mean(axis=1, keepdims=True)
+        acc.update(_step_matrices(cfg, idx[:, step], rng_g))
+    q_logs = acc.readout()
 
     # Euclidean side: sums of tilted orbit samples
     rng_e = substream(cfg.seed, 1)

@@ -159,14 +159,14 @@ def test_walk_crosscheck_flag(capsys):
     assert len(data["ks_distances"]) == 2
 
 
-def test_threads_flag_does_not_change_results(capsys, monkeypatch):
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("CHAMBERWALK_THREADS", threads)
-        _, out = run_cli(capsys, "convolve", "hermitian", "--d", "2",
-                         "--x", "[1,-1]", "--y", "[1,-1]", "--n", "100", "--seed", "1")
-        outs.append(json.loads(out))
-    assert outs[0]["mean"] == outs[1]["mean"]
+def test_manifests_carry_no_threads_key(capsys):
+    _, out = run_cli(capsys, "convolve", "hermitian", "--d", "2",
+                     "--x", "[1,-1]", "--y", "[1,-1]", "--n", "100", "--seed", "1")
+    manifest = json.loads(out)["manifest"]
+    assert "threads" not in manifest and "threads" not in manifest["params"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "rho", "A", "1"])
+    assert exc.value.code == 2
 
 
 def test_selftest_mutation_fails(tmp_path, capsys, monkeypatch):

@@ -7,9 +7,7 @@ from chamberwalk import convolve
 from chamberwalk.convolve import (
     EmpiricalMeasure,
     conv_group_cloud,
-    conv_group_sample,
     conv_hermitian_cloud,
-    conv_hermitian_sample,
     deformation_check,
     semicharacter_multiplicativity,
     spherical_transform_empirical,
@@ -38,9 +36,9 @@ def test_identity_atom_hermitian():
     rng = substream(1, 0)
     x = np.array([1.0, 0.0, -1.0])
     for _ in range(20):
-        out = conv_hermitian_sample(3, x, np.zeros(3), rng)
+        out = conv_hermitian_cloud(3, x, np.zeros(3), 1, rng)[0]
         assert np.allclose(out, x, atol=1e-9)
-        out = conv_hermitian_sample(3, np.zeros(3), x, rng)
+        out = conv_hermitian_cloud(3, np.zeros(3), x, 1, rng)[0]
         assert np.allclose(out, x, atol=1e-9)
 
 
@@ -48,9 +46,9 @@ def test_identity_atom_group():
     rng = substream(1, 1)
     x = np.array([1.0, 0.0, -1.0])
     for _ in range(20):
-        out = conv_group_sample(3, x, np.zeros(3), rng)
+        out = conv_group_cloud(3, x, np.zeros(3), 1, rng)[0]
         assert np.allclose(out, x, atol=1e-9)
-        out = conv_group_sample(3, np.zeros(3), x, rng)
+        out = conv_group_cloud(3, np.zeros(3), x, 1, rng)[0]
         assert np.allclose(out, x, atol=1e-9)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,10 +14,8 @@ from chamberwalk.walk import (
     WalkConfig,
     euclidean_walk_crosscheck,
     mz_rate_scan,
-    qr_accumulate,
     rejection_rate,
     run_group_walk,
-    sample_orbit_weighted,
     substream,
     tilted_orbit_batch,
 )
@@ -40,6 +39,8 @@ def test_walk_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(d=2, atoms=[[1.0, -1.0]], weights=[1.0], n_steps=0)
     with pytest.raises(ValueError):
+        WalkConfig(d=2, atoms=[[1.0, -1.0]], weights=[1.0], n_steps=10, n_replicas=0)
+    with pytest.raises(ValueError):
         WalkConfig(d=2, atoms=[[6.0, -6.0]], weights=[1.0], n_steps=10)  # norm cap
     with pytest.raises(ValueError):
         WalkConfig(d=2, atoms=[[1.0, -1.0]], weights=[1.0], n_steps=10, r_exponent=2.0)
@@ -53,6 +54,14 @@ def test_walk_config_from_json():
     assert cfg.n_replicas == 1 and cfg.r_exponent == 1.0
 
 
+def test_walk_config_from_json_rejects_unknown_keys():
+    base = {"d": 2, "atoms": [[0.5, -0.5]], "weights": [1.0], "n_steps": 64}
+    for extra, named in (({"renorm_period": 4}, "renorm_period"),
+                         ({"sed": 1, "n_step": 10}, "n_step, sed")):
+        with pytest.raises(ValueError, match=named):
+            WalkConfig.from_json(json.dumps({**base, **extra}))
+
+
 def test_accumulator_matches_direct_product():
     rng = substream(2, 0)
     for d in (2, 3):
@@ -62,7 +71,7 @@ def test_accumulator_matches_direct_product():
         prod = np.eye(d, dtype=complex)
         for _ in range(40):
             z = kernels.sample_biinvariant(x, rng)
-            acc = qr_accumulate(acc, z)
+            acc.update(z)
             prod = prod @ z
         assert np.allclose(acc.readout(), kernels.log_singular_spectrum(prod), atol=1e-8)
 
@@ -79,6 +88,58 @@ def test_accumulator_survives_long_products():
     assert abs(out.sum()) < 1e-9
     # per-step drift approaches m1(x) ~ 0.5373
     assert abs(out[0] / 5000 - 0.5373147207275482) < 0.05
+
+
+@pytest.mark.parametrize("x, checkpoints", [
+    ([2.0, -2.0], (17, 150, 300)),
+    ([2.0, 0.0, -2.0], (20, 180, 360)),
+    ([2.0, 1.0, -1.0, -2.0], (20, 170, 360)),
+])
+def test_readout_matches_mpmath_at_every_spread(x, checkpoints):
+    # the same float steps multiplied at 560 digits, enough for spread 1000;
+    # checkpoints sit near log spreads 50, 450 and 900
+    d = len(x)
+    rng = substream(7, d)
+    acc = ProductAccumulator(d)
+    spreads = []
+    with mpmath.workdps(560):
+        prod = mpmath.eye(d)
+        for n in range(1, checkpoints[-1] + 1):
+            z = kernels.sample_biinvariant(np.array(x), rng)
+            acc.update(z)
+            prod = prod * mpmath.matrix(z.tolist())
+            if n in checkpoints:
+                logs = [mpmath.log(v) for v in mpmath.svd_c(prod, compute_uv=False)]
+                ref = np.array(sorted((float(v - sum(logs) / d) for v in logs), reverse=True))
+                err = np.max(np.abs(acc.readout() - ref))
+                assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))), (n, err)
+                spreads.append(ref[0] - ref[-1])
+    assert 40 < spreads[0] < 60 and 400 < spreads[1] < 500 and 850 < spreads[2] < 950
+
+
+def test_batched_accumulator_rows_match_single_products():
+    rng = substream(2, 3)
+    d, reps = 3, 5
+    x = np.array([1.0, 0.0, -1.0])
+    steps = np.array([[kernels.sample_biinvariant(x, rng) for _ in range(reps)]
+                      for _ in range(60)])
+    batch = ProductAccumulator(d)
+    for z in steps:
+        batch.update(z)
+    out = batch.readout()
+    assert out.shape == (reps, d)
+    for k in range(reps):
+        single = ProductAccumulator(d)
+        for z in steps[:, k]:
+            single.update(z)
+        np.testing.assert_allclose(out[k], single.readout(), rtol=0, atol=1e-12)
+
+
+def test_readout_raises_on_a_non_finite_product():
+    acc = ProductAccumulator(3)
+    acc.tri[0, 1] = np.nan
+    with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+        acc.readout()
 
 
 def test_run_group_walk_converges_to_m1():
@@ -162,12 +223,6 @@ def test_tilted_orbit_guards():
         tilted_orbit_batch(2, [31.0, -31.0], 10, substream(3, 3))
 
 
-def test_sample_orbit_weighted_family_guard():
-    rs = build_root_system("B", 2)
-    with pytest.raises(ValueError):
-        sample_orbit_weighted(rs, np.array([2.0, 1.0]), substream(3, 4))
-
-
 def test_crosscheck_equality_in_law():
     cfg = WalkConfig(d=2, atoms=[[0.5, -0.5]], weights=[1.0], n_steps=30,
                      n_replicas=500, seed=4)
@@ -176,6 +231,20 @@ def test_crosscheck_equality_in_law():
     assert rep.passed
     assert len(rep.ks_distances) == 2
     assert np.isclose(rep.critical_1pct, 1.628 * math.sqrt(2.0 / 500.0))
+
+
+@pytest.mark.parametrize("x, n_steps, reps", [
+    ([2.0, -2.0], 100, 200),
+    ([1.0, 0.0, -1.0], 50, 500),
+])
+def test_crosscheck_passes_at_wide_spread(x, n_steps, reps):
+    # log spreads near 300 and 43, past the 36 (= -ln eps) at which a raw
+    # matrix product loses the smallest singular value
+    cfg = WalkConfig(d=len(x), atoms=[x], weights=[1.0], n_steps=n_steps,
+                     n_replicas=reps, seed=0)
+    rep = euclidean_walk_crosscheck(cfg)
+    assert all(math.isfinite(k) for k in rep.ks_distances)
+    assert rep.passed, rep.ks_distances
 
 
 def test_crosscheck_horizon_guard():
