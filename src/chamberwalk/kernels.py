@@ -8,8 +8,9 @@ Family C deliberately has no matrix realization here; its spherical data
 coincides with family B.
 
 Single-matrix spectra go through a cyclic Jacobi eigensolver (high relative
-accuracy, trivially verifiable).  Batched Monte-Carlo paths use LAPACK via
-numpy for throughput; the two are cross-checked in the tests.
+accuracy, trivially verifiable), cross-checked against LAPACK in the tests.
+Haar U(d) samples come from a vectorised Gram-Schmidt QR of a Ginibre stack,
+Haar SO(m) samples from LAPACK's QR via numpy.
 """
 
 from __future__ import annotations
@@ -36,20 +37,40 @@ class EigenConvergenceError(RuntimeError):
 # Haar sampling
 
 
+def _positive_qr_q(z: np.ndarray) -> np.ndarray:
+    """The Q of z = QR with a positive R diagonal, for a stack (n, d, d).
+
+    Classical Gram-Schmidt over the columns, projecting twice before each
+    normalisation; the second pass restores orthogonality to working
+    precision (Giraud, Langou & Rozloznik 2005).  Overwrites and returns z.
+    """
+    for j in range(z.shape[-1]):
+        v = z[:, :, j]
+        if j:
+            done = z[:, :, :j]
+            for _ in range(2):
+                c = np.einsum("nik,ni->nk", done, v.conj()).conj()
+                v -= np.einsum("nk,nik->ni", c, done)
+        v /= np.sqrt(np.einsum("ni,ni->n", v.real, v.real)
+                     + np.einsum("ni,ni->n", v.imag, v.imag))[:, None]
+    return z
+
+
 def haar_unitary_batch(d: int, n: int, rng, special: bool = False) -> np.ndarray:
     """n Haar-distributed elements of U(d) (or SU(d)), shape (n, d, d).
 
-    Ginibre + QR with the R-diagonal phase fix; the SU correction divides by
-    a d-th root of the determinant (the branch choice is invisible to
-    biinvariant statistics).
+    The Q factor, with positive R diagonal, of a complex Ginibre stack (real
+    normals, then imaginary normals) is exactly Haar (Mezzadri 2007); it is
+    taken by `_positive_qr_q`, and Q does not depend on the Ginibre scale.
+    The SU correction divides by a d-th root of the determinant (the branch
+    choice is invisible to biinvariant statistics).
     """
     if d < 2:
         raise ValueError("d >= 2 required")
-    z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (diag / np.abs(diag))[:, None, :]
+    z = np.empty((n, d, d), dtype=complex)
+    z.real = rng.standard_normal((n, d, d))
+    z.imag = rng.standard_normal((n, d, d))
+    q = _positive_qr_q(z)
     if special:
         det = np.linalg.det(q)
         q = q * np.exp(-1j * np.angle(det) / d)[:, None, None]

@@ -38,7 +38,8 @@ _JACOBI_TOL = 1e-14
 _JACOBI_SWEEPS = 30
 
 #: steps drawn per replica at a time (fixes each replica's sample path), and
-#: the cap on the entries of one replica block's step buffer
+#: the cap on the entries of one replica block's step buffer and of one
+#: tilted-sampler chunk
 _CHUNK = 1024
 _STEP_ENTRIES = 1 << 20
 
@@ -61,6 +62,8 @@ class WalkConfig:
     def __post_init__(self):
         object.__setattr__(self, "atoms", np.atleast_2d(np.asarray(self.atoms, dtype=float)))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        if self.atoms.shape[1:] != (self.d,) or self.weights.shape != self.atoms.shape[:1]:
+            raise ValueError(f"need atoms of shape (k, {self.d}) and k weights")
         if self.n_steps < 1 or self.n_replicas < 1:
             raise ValueError("n_steps >= 1 and n_replicas >= 1 required")
         if not (1.0 <= self.r_exponent < 2.0):
@@ -76,19 +79,37 @@ class WalkConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "WalkConfig":
+        """Parse a JSON object; a malformed config raises ValueError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a WalkConfig must be a JSON object")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown WalkConfig keys: {', '.join(unknown)}")
-        return cls(
-            d=int(data["d"]),
-            atoms=np.asarray(data["atoms"], dtype=float),
-            weights=np.asarray(data["weights"], dtype=float),
-            n_steps=int(data["n_steps"]),
-            n_replicas=int(data.get("n_replicas", 1)),
-            seed=int(data.get("seed", 0)),
-            r_exponent=float(data.get("r_exponent", 1.0)),
-        )
+        missing = [k for k in ("d", "atoms", "weights", "n_steps") if k not in data]
+        if missing:
+            raise ValueError(f"missing WalkConfig keys: {', '.join(missing)}")
+        for key, value in data.items():
+            depth = _ARRAY_DEPTH.get(key)
+            if depth is None:
+                if not (_is_number_array(value, 0) and float(value).is_integer()):
+                    raise ValueError(f"WalkConfig key {key!r} must be an integer")
+                data[key] = int(value)
+            elif not _is_number_array(value, depth):
+                kind = "a number" if depth == 0 else f"a {depth}-d array of numbers"
+                raise ValueError(f"WalkConfig key {key!r} must be {kind}")
+        return cls(**data)
+
+
+#: nesting depth of the number-valued WalkConfig JSON keys; the others are integers
+_ARRAY_DEPTH = {"atoms": 2, "weights": 1, "r_exponent": 0}
+
+
+def _is_number_array(value, depth: int) -> bool:
+    """Whether value is a JSON number nested ``depth`` lists deep."""
+    if depth == 0:
+        return type(value) in (int, float)
+    return isinstance(value, list) and all(_is_number_array(v, depth - 1) for v in value)
 
 
 @dataclass
@@ -266,7 +287,11 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
 
     Rejection sampling against the Haar orbit with envelope exp(<rho, x>)
     (dominance of the rho-pairing at the chamber representative).  The
-    orbit U x U* is drawn with U Haar in U(d), whose phase cancels.
+    orbit U x U* is drawn with U Haar in U(d), whose phase cancels.  Each
+    round draws its proposals' Ginibre stacks and uniforms up front, then
+    orthonormalises them in chunks of at most 2^20 entries; acceptance
+    needs only the diagonal |U|^2 x, so U x U* is formed for accepted
+    proposals alone.  Every proposal is checked against the envelope.
     Returns (matrices (n,d,d), n_proposed).
     """
     rs = build_root_system("A", d - 1)
@@ -280,24 +305,30 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
         return np.zeros((n, d, d), dtype=complex), n
 
     rate = rejection_rate(rs, x)
+    rows = max(1, _STEP_ENTRIES // (d * d))
     out = np.empty((n, d, d), dtype=complex)
     got = 0
     proposed = 0
     while got < n:
         m = max(int(math.ceil((n - got) / rate * 1.2)), 16)
-        u = kernels.haar_unitary_batch(d, m, rng)
-        mats = (u * x[None, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
-        v = np.einsum("nii->ni", mats).real
-        log_acc = v @ rs.rho - rho_x
-        if np.any(log_acc > 1e-9):
-            raise RuntimeError(
-                "rejection envelope violated: <rho, k.x> exceeded <rho, x> "
-                "(this falsifies the dominance invariant and is a bug)"
-            )
-        keep = np.log(rng.random(m)) < log_acc
-        take = min(int(keep.sum()), n - got)
-        out[got : got + take] = mats[keep][:take]
-        got += take
+        re = rng.standard_normal((m, d, d))
+        im = rng.standard_normal((m, d, d))
+        log_u = np.log(rng.random(m))
+        for lo in range(0, m, rows):
+            z = np.empty(re[lo : lo + rows].shape, dtype=complex)
+            z.real = re[lo : lo + rows]
+            z.imag = im[lo : lo + rows]
+            u = kernels._positive_qr_q(z)
+            log_acc = (np.abs(u) ** 2 @ x) @ rs.rho - rho_x
+            if np.any(log_acc > 1e-9):
+                raise RuntimeError(
+                    "rejection envelope violated: <rho, k.x> exceeded <rho, x> "
+                    "(this falsifies the dominance invariant and is a bug)"
+                )
+            keep = np.flatnonzero(log_u[lo : lo + rows] < log_acc)[: n - got]
+            u = u[keep]
+            out[got : got + keep.size] = (u * x) @ np.conj(np.swapaxes(u, -1, -2))
+            got += keep.size
         proposed += m
     return out, proposed
 

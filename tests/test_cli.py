@@ -149,6 +149,31 @@ def test_walk_command_with_config(tmp_path, capsys):
     assert json.loads(out)["checkpoints"][-1] == 100
 
 
+_GOOD_CONFIG = {"d": 2, "atoms": [[0.5, -0.5]], "weights": [1.0], "n_steps": 10}
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2, 3], "must be a JSON object"),
+    ({k: v for k, v in _GOOD_CONFIG.items() if k != "d"}, "missing WalkConfig keys: d"),
+    ({k: v for k, v in _GOOD_CONFIG.items() if k != "weights"}, "missing WalkConfig keys: weights"),
+    ({**_GOOD_CONFIG, "d": "2"}, "'d' must be an integer"),
+    ({**_GOOD_CONFIG, "n_steps": 10.5}, "'n_steps' must be an integer"),
+    ({**_GOOD_CONFIG, "seed": None}, "'seed' must be an integer"),
+    ({**_GOOD_CONFIG, "atoms": [0.5, -0.5]}, "'atoms' must be a 2-d array"),
+    ({**_GOOD_CONFIG, "atoms": [["0.5", -0.5]]}, "'atoms' must be a 2-d array"),
+    ({**_GOOD_CONFIG, "weights": {"a": 1.0}}, "'weights' must be a 1-d array"),
+    ({**_GOOD_CONFIG, "r_exponent": "1"}, "'r_exponent' must be a number"),
+    ({**_GOOD_CONFIG, "d": 3}, "atoms of shape (k, 3)"),
+    ({**_GOOD_CONFIG, "weights": [0.5, 0.5]}, "atoms of shape (k, 2)"),
+])
+def test_walk_malformed_config_exits_2(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["walk", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+
+
 def test_walk_crosscheck_flag(capsys):
     code, out = run_cli(capsys, "walk", "--d", "2", "--x", "[0.5,-0.5]",
                         "--n", "25", "--replicas", "300", "--seed", "6",

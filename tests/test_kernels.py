@@ -3,6 +3,7 @@ import pytest
 
 from chamberwalk.kernels import (
     EigenConvergenceError,
+    _positive_qr_q,
     block_embed,
     haar_orthogonal,
     haar_orthogonal_batch,
@@ -177,3 +178,57 @@ def test_log_singular_spectrum_conditioning_guard():
     b = np.diag([1e200, 1.0, 1e-200]).astype(complex)
     with pytest.raises((ValueError, EigenConvergenceError, FloatingPointError)):
         log_singular_spectrum(b)
+
+
+def _lapack_positive_q(z):
+    # LAPACK's Householder Q with the R-diagonal phases moved into Q
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def _ginibre(rng, n, d):
+    return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_positive_qr_q_matches_lapack(d):
+    z = _ginibre(substream(6, d), 2000, d)
+    ref = _lapack_positive_q(z)
+    q = _positive_qr_q(z.copy())
+    assert np.abs(q - ref).max() < 1e-12
+
+
+def test_positive_qr_q_near_singular_columns():
+    # column 2 = column 1 + 1e-9 noise: r_22 is about 1e-9, so the second
+    # column of Q moves by about eps / r_22 ~ 1e-7 under rounding in any QR
+    # algorithm (LAPACK on z and on z(1 + eps) differ that much too).  Q
+    # must still be unitary, z = QR with R upper triangular and positive on
+    # the diagonal, and Q within the conditioning bound of LAPACK's.
+    rng = substream(6, 100)
+    for d in (2, 3, 4, 8):
+        z = _ginibre(rng, 1, d)
+        z[0, :, 1] = z[0, :, 0] + 1e-9 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        q = _positive_qr_q(z.copy())[0]
+        scale = np.linalg.norm(z[0])
+        assert np.abs(q.conj().T @ q - np.eye(d)).max() < 1e-14
+        r = q.conj().T @ z[0]
+        assert np.abs(np.tril(r, -1)).max() < 1e-14 * scale
+        diag = np.diagonal(r)
+        assert np.all(np.abs(diag.imag) < 1e-14 * scale) and np.all(diag.real > 0)
+        ref = _lapack_positive_q(z)[0]
+        assert np.abs(q[:, 0] - ref[:, 0]).max() < 1e-12
+        assert np.abs(q - ref).max() < 100 * np.finfo(float).eps * scale / diag[1].real
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_haar_unitary_batch_unitarity(d):
+    u = haar_unitary_batch(d, 100_000, substream(6, 200 + d))
+    gram = np.conj(np.swapaxes(u, -1, -2)) @ u
+    assert np.abs(gram - np.eye(d)).max() < 1e-14
+
+
+def test_haar_special_unitary_determinant_every_d():
+    for d in range(2, 9):
+        u = haar_unitary_batch(d, 1000, substream(6, 300 + d), special=True)
+        assert np.abs(np.linalg.det(u) - 1.0).max() < 1e-12

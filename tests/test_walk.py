@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -221,6 +222,82 @@ def test_tilted_orbit_guards():
         tilted_orbit_batch(2, [-1.0, 1.0], 10, substream(3, 2))
     with pytest.raises(ValueError):
         tilted_orbit_batch(2, [31.0, -31.0], 10, substream(3, 3))
+
+
+def _tilted_reference(d, x, n, rng):
+    """The tilted sampler built the direct way: LAPACK QR with the phase
+    fix, U x U* for every proposal, acceptance read off its diagonal."""
+    rs = build_root_system("A", d - 1)
+    x = np.asarray(x, dtype=float)
+    rho_x = float(rs.rho @ x)
+    rate = rejection_rate(rs, x)
+    out, got, proposed = [], 0, 0
+    while got < n:
+        m = max(int(math.ceil((n - got) / rate * 1.2)), 16)
+        z = (rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))) / math.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        u = q * (diag / np.abs(diag))[:, None, :]
+        mats = (u * x) @ np.conj(np.swapaxes(u, -1, -2))
+        log_acc = np.einsum("nii->ni", mats).real @ rs.rho - rho_x
+        keep = np.log(rng.random(m)) < log_acc
+        out.append(mats[keep][: n - got])
+        got += out[-1].shape[0]
+        proposed += m
+    return np.concatenate(out), proposed
+
+
+@pytest.mark.parametrize("d, x, n", [
+    (2, [0.5, -0.5], 4000),
+    (3, [0.5, 0.0, -0.5], 4000),
+    (2, [2.0, -2.0], 4000),
+    (3, [1.0, 0.0, -1.0], 6000),    # two 2^20-entry chunks per round
+    (4, [0.6, 0.2, -0.3, -0.5], 3000),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tilted_orbit_batch_matches_direct_sampler(d, x, n, seed):
+    ref, ref_proposed = _tilted_reference(d, x, n, substream(seed, 1))
+    mats, proposed = tilted_orbit_batch(d, x, n, substream(seed, 1))
+    assert proposed == ref_proposed
+    assert mats.shape == ref.shape == (n, d, d)
+    assert np.abs(mats - ref).max() < 1e-13
+
+
+def test_tilted_orbit_batch_memory_stays_near_its_draws():
+    # one round at d=3, x=(1,0,-1), n=25000 draws 0.65 M proposals; the
+    # Ginibre stacks take 2 * m * d^2 * 8 bytes, and U x U* for every
+    # proposal alone would take as much again
+    d, x, n = 3, [1.0, 0.0, -1.0], 25_000
+    m = math.ceil(n / rejection_rate(build_root_system("A", 2), x) * 1.2)
+    tracemalloc.start()
+    try:
+        _, proposed = tilted_orbit_batch(d, x, n, substream(0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proposed == m
+    assert peak < 2 * (2 * m * d * d * 8)
+
+
+def test_tilted_orbit_batch_checks_the_envelope_past_the_last_acceptance(monkeypatch):
+    # at d = 2, x = (0.5, -0.5) the rate is 0.43, so n = 1e5 draws 277,565
+    # proposals in chunks of 2^18 rows, and the first chunk alone accepts
+    # about 113,000; the last proposal of the second chunk is made
+    # non-unitary (2 I, so <rho, k.x> = 4 <rho, x>) and must still be caught
+    orthonormalise = kernels._positive_qr_q
+    chunks = []
+
+    def spoiled(z):
+        u = orthonormalise(z)
+        chunks.append(len(u))
+        if len(chunks) == 2:
+            u[-1] = 2.0 * np.eye(z.shape[-1])
+        return u
+
+    monkeypatch.setattr(kernels, "_positive_qr_q", spoiled)
+    with pytest.raises(RuntimeError, match="envelope"):
+        tilted_orbit_batch(2, [0.5, -0.5], 100_000, substream(0, 1))
+    assert chunks == [1 << 18, 277_565 - (1 << 18)]
 
 
 def test_crosscheck_equality_in_law():
