@@ -288,10 +288,10 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     Rejection sampling against the Haar orbit with envelope exp(<rho, x>)
     (dominance of the rho-pairing at the chamber representative).  The
     orbit U x U* is drawn with U Haar in U(d), whose phase cancels.  Each
-    round draws its proposals' Ginibre stacks and uniforms up front, then
-    orthonormalises them in chunks of at most 2^20 entries; acceptance
-    needs only the diagonal |U|^2 x, so U x U* is formed for accepted
-    proposals alone.  Every proposal is checked against the envelope.
+    round draws its proposals' U and uniforms up front, then takes the
+    acceptance exponent from the diagonal |U|^2 x in chunks of at most 2^20
+    entries, so U x U* is formed for accepted proposals alone.  Every
+    proposal is checked against the envelope.
     Returns (matrices (n,d,d), n_proposed).
     """
     rs = build_root_system("A", d - 1)
@@ -311,14 +311,10 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     proposed = 0
     while got < n:
         m = max(int(math.ceil((n - got) / rate * 1.2)), 16)
-        re = rng.standard_normal((m, d, d))
-        im = rng.standard_normal((m, d, d))
+        us = kernels.haar_unitary_batch(d, m, rng)
         log_u = np.log(rng.random(m))
         for lo in range(0, m, rows):
-            z = np.empty(re[lo : lo + rows].shape, dtype=complex)
-            z.real = re[lo : lo + rows]
-            z.imag = im[lo : lo + rows]
-            u = kernels._positive_qr_q(z)
+            u = us[lo : lo + rows]
             log_acc = (np.abs(u) ** 2 @ x) @ rs.rho - rho_x
             if np.any(log_acc > 1e-9):
                 raise RuntimeError(

@@ -281,23 +281,22 @@ def test_tilted_orbit_batch_memory_stays_near_its_draws():
 
 def test_tilted_orbit_batch_checks_the_envelope_past_the_last_acceptance(monkeypatch):
     # at d = 2, x = (0.5, -0.5) the rate is 0.43, so n = 1e5 draws 277,565
-    # proposals in chunks of 2^18 rows, and the first chunk alone accepts
-    # about 113,000; the last proposal of the second chunk is made
+    # proposals, read in chunks of 2^18 rows, and the first chunk alone
+    # accepts about 113,000; the last proposal, in the second chunk, is made
     # non-unitary (2 I, so <rho, k.x> = 4 <rho, x>) and must still be caught
-    orthonormalise = kernels._positive_qr_q
-    chunks = []
+    draw = kernels.haar_unitary_batch
+    sizes = []
 
-    def spoiled(z):
-        u = orthonormalise(z)
-        chunks.append(len(u))
-        if len(chunks) == 2:
-            u[-1] = 2.0 * np.eye(z.shape[-1])
+    def spoiled(d, n, rng, special=False):
+        u = draw(d, n, rng, special=special)
+        sizes.append(n)
+        u[-1] = 2.0 * np.eye(d)
         return u
 
-    monkeypatch.setattr(kernels, "_positive_qr_q", spoiled)
+    monkeypatch.setattr(kernels, "haar_unitary_batch", spoiled)
     with pytest.raises(RuntimeError, match="envelope"):
         tilted_orbit_batch(2, [0.5, -0.5], 100_000, substream(0, 1))
-    assert chunks == [1 << 18, 277_565 - (1 << 18)]
+    assert sizes == [277_565]
 
 
 def test_crosscheck_equality_in_law():
