@@ -26,13 +26,9 @@ from .special import (
     spherical_psi_rows,
 )
 from .kernels import (
-    haar_orthogonal,
-    haar_unitary,
     hermitian_spectrum,
-    jacobi_eigh,
     log_singular_spectrum,
     sample_biinvariant,
-    sample_orbit,
 )
 from .convolve import (
     CheckResult,
@@ -59,8 +55,7 @@ __all__ = [
     "SphericalRows", "SphericalValue", "m1_closed", "m1_closed_rows",
     "m1_expectation", "semicharacter", "spherical_phi", "spherical_phi_rows",
     "spherical_psi", "spherical_psi_rows",
-    "haar_orthogonal", "haar_unitary", "hermitian_spectrum", "jacobi_eigh",
-    "log_singular_spectrum", "sample_biinvariant", "sample_orbit",
+    "hermitian_spectrum", "log_singular_spectrum", "sample_biinvariant",
     "CheckResult", "EmpiricalMeasure", "SupportReport", "conv_group_cloud",
     "conv_hermitian_cloud", "deformation_check", "support_equivalence",
     "ProductAccumulator", "WalkConfig", "WalkReport",

@@ -7,30 +7,22 @@ x -> blockdiag([[0, x_j], [-x_j, 0]], ...) with a zero padding row for B.
 Family C deliberately has no matrix realization here; its spherical data
 coincides with family B.
 
-Single-matrix spectra go through a cyclic Jacobi eigensolver (high relative
-accuracy, trivially verifiable), cross-checked against LAPACK in the tests.
+Single-matrix spectra are one LAPACK call each (numpy's eigvalsh and svd),
+behind the validation of the maps p and q; the tests check q against
+80-digit mpmath singular values.
 Haar U(d) samples come from a vectorised Gram-Schmidt QR of a Ginibre stack,
 Haar SO(m) samples from LAPACK's QR via numpy.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-import scipy.linalg
 
 from .roots import RootSystem
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _DET_TOL = 1e-8
-
-
-class EigenConvergenceError(RuntimeError):
-    def __init__(self, residual: float):
-        super().__init__(f"Jacobi eigensolver did not converge; residual {residual:g}")
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +69,6 @@ def haar_unitary_batch(d: int, n: int, rng, special: bool = False) -> np.ndarray
     return q
 
 
-def haar_unitary(d: int, rng, special: bool = False) -> np.ndarray:
-    """One Haar-random element of U(d), or SU(d) when ``special`` is set."""
-    return haar_unitary_batch(d, 1, rng, special=special)[0]
-
-
 def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
     """n Haar-distributed elements of SO(m), shape (n, m, m)."""
     if m < 2:
@@ -96,70 +83,8 @@ def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
     return q
 
 
-def haar_orthogonal(m: int, rng) -> np.ndarray:
-    return haar_orthogonal_batch(m, 1, rng)[0]
-
-
 # ---------------------------------------------------------------------------
-# Eigensolver
-
-
-def _off_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-
-
-def jacobi_eigh(a, max_sweeps: int = 30, tol: float = 1e-14):
-    """Cyclic Jacobi for Hermitian matrices.
-
-    Returns (eigenvalues ascending, unitary V) with a = V diag(w) V^H.
-    Raises EigenConvergenceError when the off-diagonal norm has not dropped
-    below tol * ||a||_F after max_sweeps sweeps.
-    """
-    a = np.array(a, dtype=complex)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n), v
-    for _ in range(max_sweeps):
-        off = _off_norm(a)
-        if off <= tol * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= tol * fro / n:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # J = diag(1, conj(phase)) . [[c, s], [-s, c]] in the (p,q) plane
-                jpp, jpq = c, s
-                jqp, jqq = -s * np.conj(phase), c * np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = col_p * jpp + col_q * jqp
-                a[:, q] = col_p * jpq + col_q * jqq
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = row_p * np.conj(jpp) + row_q * np.conj(jqp)
-                a[q, :] = row_p * np.conj(jpq) + row_q * np.conj(jqq)
-                col_p = v[:, p].copy()
-                col_q = v[:, q].copy()
-                v[:, p] = col_p * jpp + col_q * jqp
-                v[:, q] = col_p * jpq + col_q * jqq
-    off = _off_norm(a)
-    if off > 1e-10 * fro:
-        raise EigenConvergenceError(off)
-    w = np.diagonal(a).real.copy()
-    order = np.argsort(w)
-    return w[order], v[:, order]
+# Spectra
 
 
 def _check_hermitian_traceless(a: np.ndarray) -> None:
@@ -173,12 +98,13 @@ def _check_hermitian_traceless(a: np.ndarray) -> None:
 def hermitian_spectrum(a) -> np.ndarray:
     """Ordered eigenvalues of a traceless Hermitian matrix (the map p).
 
-    Descending, re-centered to coordinate sum exactly 0.
+    Descending, re-centered to coordinate sum exactly 0.  LAPACK's eigvalsh
+    is backward stable, so each eigenvalue is right to a small multiple of
+    eps * ||a||_2 in absolute terms.
     """
     a = np.asarray(a, dtype=complex)
     _check_hermitian_traceless(a)
-    w, _ = jacobi_eigh(a)
-    out = w[::-1].copy()
+    out = np.linalg.eigvalsh(a)[::-1].copy()
     out -= out.mean()
     return out
 
@@ -186,29 +112,29 @@ def hermitian_spectrum(a) -> np.ndarray:
 def log_singular_spectrum(b) -> np.ndarray:
     """The map q: descending logs of the singular values, centered to sum 0.
 
-    Computed as half the log-eigenvalues of B B*.  Raises when the spread of
-    singular values exhausts double precision (use the walk's QR accumulator
-    for long products).
+    One LAPACK SVD.  Its singular values are right to a small multiple of
+    eps * sigma_1, so log sigma_i is right to about eps * sigma_1 / sigma_i,
+    and centering passes the worst of these, eps * e^{q_1 - q_d}, to every
+    coordinate (the tests hold it to 10 eps e^{q_1 - q_d} against mpmath).
+    Raises ValueError on a non-finite or non-unimodular b, and when
+    sigma_d^2 <= d * 1e-13 * sigma_1^2, where that error would pass about
+    7e-10 / sqrt(d) (a log spread of 14.4 at d = 3); accumulate long
+    products with the walk's ProductAccumulator instead.
     """
     b = np.asarray(b, dtype=complex)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("matrix has non-finite entries")
     with np.errstate(over="ignore", invalid="ignore"):
-        h = b @ b.conj().T
-    if not np.all(np.isfinite(h)):
-        raise ValueError(
-            "singular-value spread beyond double precision; accumulate long "
-            "products with the QR accumulator instead"
-        )
-    det = np.linalg.det(b)
-    if abs(det - 1.0) > _DET_TOL * max(1.0, np.abs(b).max() ** b.shape[0]):
-        raise ValueError(f"expected a unimodular matrix, got det = {det:.3g}")
-    w, _ = jacobi_eigh(h)
-    d = b.shape[0]
-    if w[0] <= d * 1e-13 * w[-1]:
-        raise ValueError(
-            "singular-value spread beyond double precision; accumulate long "
-            "products with the QR accumulator instead"
-        )
-    out = 0.5 * np.log(w[::-1])
+        det = np.linalg.det(b)
+        if abs(det - 1.0) > _DET_TOL * max(1.0, np.abs(b).max() ** b.shape[0]):
+            raise ValueError(f"expected a unimodular matrix, got det = {det:.3g}")
+        s = np.linalg.svd(b, compute_uv=False)
+        if s[-1] ** 2 <= b.shape[0] * 1e-13 * s[0] ** 2:
+            raise ValueError(
+                "singular-value spread beyond double precision; accumulate long "
+                "products with the QR accumulator instead"
+            )
+    out = np.log(s)
     out -= out.mean()
     return out
 
@@ -226,8 +152,8 @@ def sample_biinvariant(x, rng) -> np.ndarray:
     d = x.shape[0]
     if abs(x.sum()) > 1e-9:
         raise ValueError("chamber point must have zero coordinate sum")
-    u = haar_unitary(d, rng, special=True)
-    v = haar_unitary(d, rng, special=True)
+    u = haar_unitary_batch(d, 1, rng, special=True)[0]
+    v = haar_unitary_batch(d, 1, rng, special=True)[0]
     return (u * np.exp(x)[None, :]) @ v
 
 
@@ -241,24 +167,6 @@ def block_embed(rs: RootSystem, x) -> np.ndarray:
         a[2 * j, 2 * j + 1] = x[j]
         a[2 * j + 1, 2 * j] = -x[j]
     return a
-
-
-def sample_orbit(rs: RootSystem, x, rng) -> np.ndarray:
-    """One Haar-random element of the compact-group orbit through x.
-
-    Family A: U diag(x) U* with U Haar in SU(d).  B/D: Q iota(x) Q^T with Q
-    Haar in SO(m).  Family C is rejected (no matrix realization).
-    """
-    if rs.family == "C":
-        raise ValueError(
-            "family C has no matrix orbit realization; use the B<->C identity"
-        )
-    x = np.asarray(x, dtype=float)
-    if rs.family == "A":
-        u = haar_unitary(x.shape[0], rng, special=True)
-        return (u * x[None, :]) @ u.conj().T
-    q = haar_orthogonal(2 * rs.rank + (1 if rs.family == "B" else 0), rng)
-    return q @ block_embed(rs, x) @ q.T
 
 
 def orbit_diagonal_batch(rs: RootSystem, x, n: int, rng) -> np.ndarray:
@@ -279,22 +187,3 @@ def orbit_diagonal_batch(rs: RootSystem, x, n: int, rng) -> np.ndarray:
     a = q @ block_embed(rs, x) @ np.transpose(q, (0, 2, 1))
     idx = 2 * np.arange(rs.rank)
     return a[:, idx, idx + 1]
-
-
-def orbit_chamber(rs: RootSystem, a) -> np.ndarray:
-    """Recover the chamber point of an orbit element produced by sample_orbit."""
-    a = np.asarray(a)
-    if rs.family == "A":
-        return hermitian_spectrum(a)
-    if rs.family == "C":
-        raise ValueError("family C has no matrix orbit realization")
-    s = np.linalg.svd(a, compute_uv=False)
-    vals = s[::2][: rs.rank].copy()
-    if rs.family == "D":
-        # orbit invariant beyond |x|: the sign of the Pfaffian
-        t, z = scipy.linalg.schur(a.real, output="real")
-        blocks = t[2 * np.arange(rs.rank), 2 * np.arange(rs.rank) + 1]
-        pf_sign = np.sign(np.linalg.det(z)) * np.prod(np.sign(blocks))
-        if pf_sign < 0:
-            vals[-1] = -vals[-1]
-    return vals

@@ -54,46 +54,12 @@ _PERTURB = 1e-5
 #: cap on the entries of one chunk's (rows x |W| x dim) work array
 _CHUNK_ENTRIES = 1 << 20
 
+#: orbit samples per m1_mc chunk
+_M1_MC_CHUNK = 100_000
+
 _EPS = float(np.finfo(float).eps)
 
 _LOG2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number sign * exp(log_magnitude), safe against overflow."""
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def from_real(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return cls(0, 0.0)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue(0, 0.0)
-        return SignedLogValue(self.sign * other.sign,
-                              self.log_magnitude + other.log_magnitude)
-
-    def value(self) -> float:
-        return 0.0 if self.sign == 0 else self.sign * math.exp(self.log_magnitude)
-
-
-def signed_logsumexp(logs, signs) -> SignedLogValue:
-    """Sum of sign_i * exp(log_i) with a running max shift."""
-    logs = np.asarray(logs, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    live = signs != 0
-    if not live.any():
-        return SignedLogValue(0, 0.0)
-    m = logs[live].max()
-    total = float(np.sum(signs[live] * np.exp(logs[live] - m)))
-    if total == 0.0:
-        return SignedLogValue(0, 0.0)
-    return SignedLogValue(1 if total > 0 else -1, m + math.log(abs(total)))
 
 
 @dataclass(frozen=True)
@@ -366,7 +332,7 @@ def m1_closed(rs: RootSystem, x) -> np.ndarray:
     return _kernel(rs, "m1", None, _check_vec(rs, x)[None, :])[0][0]
 
 
-def m1_mc(rs: RootSystem, x, n: int, rng, chunk: int = 100_000):
+def m1_mc(rs: RootSystem, x, n: int, rng):
     """Monte-Carlo estimate of m1(x) from the defining orbit integral.
 
     Averages (k.x) * exp(<rho, k.x>) over Haar-random orbit elements and
@@ -393,7 +359,7 @@ def m1_mc(rs: RootSystem, x, n: int, rng, chunk: int = 100_000):
     sq_sums = np.zeros(rs.ambient_dim)
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(_M1_MC_CHUNK, n - done)
         v = kernels.orbit_diagonal_batch(rs, x, m, rng)
         w = np.exp(v @ rs.rho - c)
         vw = v * w[:, None]

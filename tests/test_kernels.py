@@ -1,21 +1,17 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chamberwalk.kernels import (
-    EigenConvergenceError,
     _positive_qr_q,
     block_embed,
-    haar_orthogonal,
     haar_orthogonal_batch,
-    haar_unitary,
     haar_unitary_batch,
     hermitian_spectrum,
-    jacobi_eigh,
     log_singular_spectrum,
-    orbit_chamber,
     orbit_diagonal_batch,
     sample_biinvariant,
-    sample_orbit,
 )
 from chamberwalk.roots import build_root_system, chamber_project, in_chamber
 from chamberwalk.walk import substream
@@ -24,7 +20,7 @@ from chamberwalk.walk import substream
 def test_haar_unitary_is_unitary():
     rng = substream(0, 0)
     for d in (2, 3, 5):
-        u = haar_unitary(d, rng)
+        u = haar_unitary_batch(d, 1, rng)[0]
         assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
 
 
@@ -49,28 +45,13 @@ def test_haar_orthogonal_is_special_orthogonal():
     q = haar_orthogonal_batch(4, 50, rng)
     assert np.allclose(q @ np.transpose(q, (0, 2, 1)), np.eye(4), atol=1e-12)
     assert np.allclose(np.linalg.det(q), 1.0)
-    q1 = haar_orthogonal(5, rng)
+    q1 = haar_orthogonal_batch(5, 1, rng)[0]
     assert np.isclose(np.linalg.det(q1), 1.0)
 
 
-def test_jacobi_eigh_against_lapack():
-    rng = substream(0, 4)
-    for _ in range(100):
-        d = int(rng.integers(2, 9))
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a = (z + z.conj().T) / 2.0
-        w, v = jacobi_eigh(a)
-        assert np.allclose(w, np.linalg.eigvalsh(a), atol=1e-10)
-        assert np.allclose(v @ np.diag(w) @ v.conj().T, a, atol=1e-10)
-        assert np.allclose(v.conj().T @ v, np.eye(d), atol=1e-12)
-
-
-def test_jacobi_eigh_handles_degenerate_and_zero():
-    w, v = jacobi_eigh(np.zeros((3, 3)))
-    assert np.allclose(w, 0.0)
-    a = np.diag([2.0, 2.0, -4.0]).astype(complex)
-    w, _ = jacobi_eigh(a)
-    assert np.allclose(w, [-4.0, 2.0, 2.0])
+def test_hermitian_spectrum_handles_degenerate_and_zero():
+    assert np.array_equal(hermitian_spectrum(np.zeros((3, 3))), np.zeros(3))
+    assert np.allclose(hermitian_spectrum(np.diag([2.0, -4.0, 2.0])), [2.0, 2.0, -4.0])
 
 
 def test_hermitian_spectrum_validation():
@@ -123,6 +104,30 @@ def test_block_embed_antisymmetric():
         assert np.allclose(a + a.T, 0.0)
 
 
+def _sample_orbit(rs, x, rng):
+    # one Haar-random element of the compact-group orbit through x:
+    # U diag(x) U* for A, Q iota(x) Q^T with Q Haar in SO(m) for B/D
+    if rs.family == "A":
+        u = haar_unitary_batch(x.shape[0], 1, rng, special=True)[0]
+        return (u * x[None, :]) @ u.conj().T
+    q = haar_orthogonal_batch(2 * rs.rank + (1 if rs.family == "B" else 0), 1, rng)[0]
+    return q @ block_embed(rs, x) @ q.T
+
+
+def _orbit_chamber(rs, a):
+    # the chamber point of an orbit element: p for A; for B/D the paired
+    # singular values, and for D the Pfaffian sign on the last coordinate
+    if rs.family == "A":
+        return hermitian_spectrum(a)
+    vals = np.linalg.svd(a, compute_uv=False)[::2][: rs.rank].copy()
+    if rs.family == "D":
+        t, z = scipy.linalg.schur(a.real, output="real")
+        blocks = t[2 * np.arange(rs.rank), 2 * np.arange(rs.rank) + 1]
+        if np.sign(np.linalg.det(z)) * np.prod(np.sign(blocks)) < 0:
+            vals[-1] = -vals[-1]
+    return vals
+
+
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("D", 4)])
 def test_orbit_chamber_recovers_projection(family, rank):
     rs = build_root_system(family, rank)
@@ -132,15 +137,14 @@ def test_orbit_chamber_recovers_projection(family, rank):
         if family == "A":
             v -= v.mean()
         x = chamber_project(rs, v)
-        a = sample_orbit(rs, x, rng)
-        rec = orbit_chamber(rs, a)
+        rec = _orbit_chamber(rs, _sample_orbit(rs, x, rng))
         assert np.allclose(rec, x, atol=1e-8)
 
 
 def test_orbit_rejected_for_family_c():
     rs = build_root_system("C", 3)
     with pytest.raises(ValueError):
-        sample_orbit(rs, np.array([3.0, 2.0, 1.0]), substream(0, 9))
+        orbit_diagonal_batch(rs, np.array([3.0, 2.0, 1.0]), 10, substream(0, 9))
 
 
 def test_orbit_diagonal_batch_a_family():
@@ -157,27 +161,40 @@ def test_orbit_diagonal_batch_a_family():
 
 
 def test_d_family_orbit_sign_recovery():
-    # the D-family chamber has a sign-carrying last coordinate; the orbit
-    # readout must recover it (Pfaffian sign), not just |x_n|
+    # the D-family chamber has a sign-carrying last coordinate; the block
+    # embedding must carry it as the Pfaffian sign, not just |x_n|
     rs = build_root_system("D", 4)
     rng = substream(0, 11)
     x = np.array([4.0, 3.0, 2.0, -1.0])
     assert in_chamber(rs, x)
-    hits = 0
     for _ in range(5):
-        a = sample_orbit(rs, x, rng)
-        rec = orbit_chamber(rs, a)
+        rec = _orbit_chamber(rs, _sample_orbit(rs, x, rng))
         assert np.allclose(rec, x, atol=1e-8)
-        hits += 1
-    assert hits == 5
 
 
 def test_log_singular_spectrum_conditioning_guard():
-    # a product with singular-value spread beyond double precision must
-    # raise rather than return garbage
-    b = np.diag([1e200, 1.0, 1e-200]).astype(complex)
-    with pytest.raises((ValueError, EigenConvergenceError, FloatingPointError)):
-        log_singular_spectrum(b)
+    # a singular-value spread beyond double precision, graded or dense, and
+    # a non-finite matrix must raise rather than return garbage
+    dense = sample_biinvariant(np.array([20.0, 0.0, -20.0]), substream(0, 12))
+    nan = np.full((3, 3), np.nan, dtype=complex)
+    for b in (np.diag([1e200, 1.0, 1e-200]).astype(complex), dense, nan):
+        with pytest.raises(ValueError):
+            log_singular_spectrum(b)
+
+
+@pytest.mark.parametrize("spread", [2.0, 8.0, 14.0])
+def test_log_singular_spectrum_against_mpmath(spread):
+    # LAPACK's singular values are right to about eps * sigma_1, so after
+    # centering every coordinate of q is right to about eps * e^{spread}
+    x = np.array([spread / 2, 0.0, -spread / 2])
+    for seed in range(3):
+        b = sample_biinvariant(x, substream(seed, 13))
+        with mpmath.workdps(80):
+            logs = [mpmath.log(v) for v in
+                    mpmath.svd_c(mpmath.matrix(b.tolist()), compute_uv=False)]
+            exact = np.array([float(v - mpmath.fsum(logs) / 3) for v in logs])
+        err = np.abs(log_singular_spectrum(b) - exact).max()
+        assert err <= 10 * np.finfo(float).eps * np.exp(spread)
 
 
 def _lapack_positive_q(z):

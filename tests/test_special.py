@@ -17,33 +17,18 @@ from chamberwalk.roots import (
     min_root_pairing,
 )
 from chamberwalk.special import (
-    SignedLogValue,
     log_semicharacter,
     m1_closed,
     m1_closed_rows,
     m1_expectation,
     m1_mc,
     semicharacter,
-    signed_logsumexp,
     spherical_phi,
     spherical_phi_rows,
     spherical_psi,
     spherical_psi_rows,
 )
 from chamberwalk.walk import substream
-
-
-def test_signed_logsumexp_matches_direct():
-    rng = np.random.default_rng(0)
-    vals = rng.standard_normal(20) * 3
-    slv = signed_logsumexp(np.log(np.abs(vals)), np.sign(vals))
-    assert np.isclose(slv.value(), vals.sum())
-
-
-def test_signed_log_value_product():
-    a = SignedLogValue.from_real(-3.0)
-    b = SignedLogValue.from_real(2.0)
-    assert np.isclose((a * b).value(), -6.0)
 
 
 def test_semicharacter_su2_value():
@@ -268,6 +253,14 @@ def test_m1_mc_oracle():
     for d, x in [(2, [1.0, -1.0]), (3, [1.0, 0.0, -1.0])]:
         rs = build_root_system("A", d - 1)
         est, se = m1_mc(rs, x, 300_000, rng)
+        closed = m1_closed(rs, x)
+        assert np.all(np.abs(est - closed) <= 4.0 * se)
+    # B and D go through the SO(m) block embedding, and the sign of D's last
+    # coordinate is an orbit invariant that the embedding must carry
+    for fam, x in [("B", [1.0, 0.4]), ("B", [1.2, 0.7, 0.3]),
+                   ("D", [1.1, 0.8, 0.5, 0.3]), ("D", [1.1, 0.8, 0.5, -0.3])]:
+        rs = build_root_system(fam, len(x))
+        est, se = m1_mc(rs, x, 200_000, rng)
         closed = m1_closed(rs, x)
         assert np.all(np.abs(est - closed) <= 4.0 * se)
 
