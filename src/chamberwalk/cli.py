@@ -77,8 +77,11 @@ def _emit(payload: dict, manifest: RunManifest, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _csv_with_manifest(body: str, manifest: RunManifest) -> str:
-    return "# manifest: " + json.dumps(manifest.as_dict()) + "\n" + body
+def _open_csv(out: str, manifest: RunManifest):
+    """Open ``<out>.csv`` for writing, its ``# manifest:`` line written."""
+    f = open(out + ".csv", "w")
+    f.write("# manifest: " + json.dumps(manifest.as_dict()) + "\n")
+    return f
 
 
 def cmd_rho(args) -> int:
@@ -128,9 +131,8 @@ def cmd_convolve(args) -> int:
         "extent_max": cloud.max(axis=0).tolist(),
     }
     if args.out:
-        measure = convolve.EmpiricalMeasure.uniform(cloud)
-        Path(args.out + ".csv").write_text(
-            _csv_with_manifest(measure.to_csv(), manifest))
+        with _open_csv(args.out, manifest) as f:
+            convolve.EmpiricalMeasure.uniform(cloud).write_csv(f)
         _emit(summary, manifest, args.out + ".json")
     else:
         _emit(summary, manifest, None)
@@ -205,8 +207,8 @@ def cmd_walk(args) -> int:
     report = run_group_walk(cfg)
     if args.out:
         _emit(json.loads(report.to_json()), manifest, args.out + ".json")
-        Path(args.out + ".csv").write_text(
-            _csv_with_manifest(report.to_csv(), manifest))
+        with _open_csv(args.out, manifest) as f:
+            f.write(report.to_csv())
     else:
         _emit(json.loads(report.to_json()), manifest, None)
     return 0

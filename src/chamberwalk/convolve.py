@@ -3,9 +3,12 @@
 delta_x * delta_y  (Hermitian sum side):   spectra of diag(x) + U diag(y) U*,
 delta_x . delta_y  (group product side):   log-singular spectra of
                                            e^diag(x) U e^diag(y),
-with U Haar in SU(d).  On top of the samplers: the deformation-identity
-check, semicharacter multiplicativity, the support-equivalence test and the
-empirical spherical transform.
+with U Haar in U(d).  The paper takes U Haar in SU(d); the laws agree,
+because a central phase e^{i theta} on U cancels in U diag(y) U* and leaves
+the singular values of e^diag(x) U e^diag(y) unchanged, so the samplers skip
+the SU(d) determinant correction.  On top of the samplers: the
+deformation-identity check, semicharacter multiplicativity, the
+support-equivalence test and the empirical spherical transform.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .special import (
 EPS_SUPP = 1e-3
 
 _CHUNK = 50_000
+#: rows formatted per write by `EmpiricalMeasure.write_csv`
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -42,8 +47,12 @@ class EmpiricalMeasure:
     normalized: bool = True
 
     def __post_init__(self):
+        if self.atoms.ndim != 2 or self.weights.ndim != 1:
+            raise ValueError("atoms must have shape (n, d) and weights shape (n,)")
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise ValueError("one weight per atom required")
+        if not (np.all(np.isfinite(self.atoms)) and np.all(np.isfinite(self.weights))):
+            raise ValueError("atoms and weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
         if self.normalized and abs(self.weights.sum() - 1.0) > 1e-12:
@@ -53,15 +62,34 @@ class EmpiricalMeasure:
     def uniform(cls, atoms) -> "EmpiricalMeasure":
         atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
         n = atoms.shape[0]
+        if n < 1:
+            raise ValueError("a uniform measure needs at least one atom")
         return cls(atoms, np.full(n, 1.0 / n))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
+    def write_csv(self, f) -> None:
+        """Write header ``x1,...,xd,weight`` and one row per atom to text file f.
+
+        Every field is the repr of a plain float.  Rows go out in blocks of
+        `_CSV_BLOCK`, one write each; each distinct weight (by bit pattern,
+        so 0.0 and -0.0 stay apart) is formatted once.
+        """
         d = self.atoms.shape[1]
-        buf.write(",".join([f"x{i+1}" for i in range(d)] + ["weight"]) + "\n")
-        for a, w in zip(self.atoms, self.weights):
-            # row by row: plain-float reprs without a full-table Python copy
-            buf.write(",".join(map(repr, a.tolist() + [w.item()])) + "\n")
+        f.write(",".join([f"x{i+1}" for i in range(d)] + ["weight"]) + "\n")
+        bits = self.weights.view(f"u{self.weights.itemsize}")
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        labels = [repr(w) for w in self.weights[first].tolist()]
+        for start in range(0, self.atoms.shape[0], _CSV_BLOCK):
+            stop = start + _CSV_BLOCK
+            f.write("".join([
+                ",".join([*map(repr, row), labels[k]]) + "\n"
+                for row, k in zip(self.atoms[start:stop].tolist(),
+                                  inverse[start:stop].tolist())
+            ]))
+
+    def to_csv(self) -> str:
+        """The text that `write_csv` writes."""
+        buf = io.StringIO()
+        self.write_csv(buf)
         return buf.getvalue()
 
 
@@ -99,7 +127,9 @@ def _a_system(d: int) -> RootSystem:
     return build_root_system("A", d - 1)
 
 
-def _check_pair(d, x, y):
+def _check_pair(d, x, y, n):
+    if n < 1:
+        raise ValueError(f"sample size n must be at least 1, got {n}")
     rs = _a_system(d)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -111,7 +141,7 @@ def _check_pair(d, x, y):
 
 def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     """n samples from delta_x * delta_y: spectra of diag(x) + U diag(y) U*."""
-    rs, x, y = _check_pair(d, x, y)
+    rs, x, y = _check_pair(d, x, y, n)
     if not y.any():
         return np.tile(x, (n, 1))
     if not x.any():
@@ -120,7 +150,7 @@ def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        u = kernels.haar_unitary_batch(d, m, rng, special=True)
+        u = kernels.haar_unitary_batch(d, m, rng)
         mats = (u * y[None, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
         mats += np.diag(x)[None, :, :]
         w = np.linalg.eigvalsh(mats)[:, ::-1]
@@ -131,7 +161,7 @@ def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
 
 def conv_group_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     """n samples from delta_x . delta_y: q(e^diag(x) U e^diag(y))."""
-    rs, x, y = _check_pair(d, x, y)
+    rs, x, y = _check_pair(d, x, y, n)
     if not y.any():
         return np.tile(x, (n, 1))
     if not x.any():
@@ -142,7 +172,7 @@ def conv_group_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     done = 0
     while done < n:
         m = min(_CHUNK, n - done)
-        u = kernels.haar_unitary_batch(d, m, rng, special=True)
+        u = kernels.haar_unitary_batch(d, m, rng)
         mats = ex[None, :, None] * u * ey[None, None, :]
         s = np.linalg.svd(mats, compute_uv=False)
         logs = np.log(s)
@@ -177,7 +207,7 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     normalized by the semicharacter values at x and y (weights handled in
     the log domain).
     """
-    rs, x, y = _check_pair(d, x, y)
+    rs, x, y = _check_pair(d, x, y, n)
     fn = _test_function(rs, f)
 
     zg = conv_group_cloud(d, x, y, n, rng)
@@ -195,7 +225,7 @@ def semicharacter_multiplicativity(d: int, x, y, n: int, rng):
 
     Returns (mean, stderr, target) with target = psi(x) psi(y).
     """
-    rs, x, y = _check_pair(d, x, y)
+    rs, x, y = _check_pair(d, x, y, n)
     z = conv_hermitian_cloud(d, x, y, n, rng)
     vals = np.exp(log_semicharacter_rows(rs, z))
     mean, se = _mean_stderr(vals)

@@ -67,6 +67,21 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "deformation", "--d", "2", "--x", "[1,-1]", "--y", "[0.5,-0.5]", "--n", "0"],
+    ["check", "semichar-mult", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]", "--n", "0"],
+    ["check", "transform-homomorphism", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]",
+     "--lambda", "[0.3,-0.3]", "--n", "0"],
+    ["convolve", "hermitian", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]", "--n", "0"],
+    ["convolve", "group", "--d", "2", "--x", "[1,-1]", "--y", "[0,0]", "--n", "-3"],
+])
+def test_sample_size_below_one_exits_2(argv, capsys, recwarn):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: sample size n must be at least 1, got %s\n" % argv[-1], err
+    assert not recwarn.list
+
+
 def test_unknown_family_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rho", "E", "6"])

@@ -1,9 +1,11 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chamberwalk import convolve
+from chamberwalk import convolve, kernels
 from chamberwalk.convolve import (
     EmpiricalMeasure,
     conv_group_cloud,
@@ -102,6 +104,122 @@ def test_empirical_measure_uniform_and_csv():
     csv = m.to_csv()
     assert csv.splitlines()[0] == "x1,x2,weight"
     assert len(csv.splitlines()) == 3
+
+
+def _per_row_csv(measure):
+    """Reference writer: one repr per field, one write per row."""
+    buf = io.StringIO()
+    d = measure.atoms.shape[1]
+    buf.write(",".join([f"x{i+1}" for i in range(d)] + ["weight"]) + "\n")
+    for a, w in zip(measure.atoms, measure.weights):
+        buf.write(",".join(map(repr, a.tolist() + [w.item()])) + "\n")
+    return buf.getvalue()
+
+
+def _csv_cases():
+    rng = np.random.default_rng(20)
+    block = convolve._CSV_BLOCK
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        atoms = rng.standard_normal((n, 3))
+        odd = [-0.0, 0.0, 1e-5, 1e16, 5e-324, -5e-324]
+        atoms.flat[: min(atoms.size, len(odd))] = odd[: atoms.size]
+        if n:
+            yield f"uniform-{n}", EmpiricalMeasure.uniform(atoms)
+            yield f"dirichlet-{n}", EmpiricalMeasure(atoms, rng.dirichlet(np.ones(n)))
+        w = np.zeros(n)
+        w[: min(n, 4)] = [-0.0, 5e-324, 1e-5, 1e16][: min(n, 4)]
+        yield f"zero-{n}", EmpiricalMeasure(atoms, w, normalized=False)
+
+
+def _first_difference(got, ref):
+    """None, or the first pair of differing lines (cheap to report on failure)."""
+    if got == ref:
+        return None
+    got, ref = got.splitlines(keepends=True), ref.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(got, ref)) if a != b), min(len(got), len(ref)))
+    return i, got[i : i + 1], ref[i : i + 1]
+
+
+def test_csv_writers_match_per_row_writer(tmp_path):
+    for name, m in _csv_cases():
+        ref = _per_row_csv(m)
+        assert _first_difference(m.to_csv(), ref) is None, name
+        path = tmp_path / "m.csv"
+        with path.open("w") as f:
+            m.write_csv(f)
+        assert _first_difference(path.read_bytes().decode(), ref) is None, name
+
+
+def test_write_csv_peak_memory(tmp_path):
+    m = EmpiricalMeasure.uniform(np.random.default_rng(21).standard_normal((100_000, 3)))
+    with (tmp_path / "m.csv").open("w") as f:
+        tracemalloc.start()
+        try:
+            m.write_csv(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("atoms, weights", [
+    ([[0.0, np.nan], [1.0, -1.0]], [0.5, 0.5]),
+    ([[0.0, np.inf], [1.0, -1.0]], [0.5, 0.5]),
+    ([[0.0, 0.0], [1.0, -1.0]], [np.nan, np.nan]),
+    ([[0.0, 0.0], [1.0, -1.0]], [np.inf, 0.5]),
+])
+def test_empirical_measure_rejects_non_finite(atoms, weights):
+    for normalized in (True, False):
+        with pytest.raises(ValueError, match="finite"):
+            EmpiricalMeasure(np.array(atoms), np.array(weights), normalized=normalized)
+
+
+@pytest.mark.parametrize("atoms, weights", [
+    (np.zeros(3), np.full(3, 1 / 3)),
+    (np.zeros((1, 2, 2)), np.ones(1)),
+    (np.zeros((1, 2)), np.ones((1, 1))),
+])
+def test_empirical_measure_rejects_bad_shapes(atoms, weights):
+    with pytest.raises(ValueError, match="shape"):
+        EmpiricalMeasure(atoms, weights)
+
+
+def test_sample_size_below_one_rejected():
+    rng = substream(1, 16)
+    with pytest.raises(ValueError, match="at least one atom"):
+        EmpiricalMeasure.uniform(np.zeros((0, 2)))
+    for n in (0, -1):
+        for cloud_fn in (conv_hermitian_cloud, conv_group_cloud):
+            with pytest.raises(ValueError, match="at least 1"):
+                cloud_fn(2, [1.0, -1.0], [0.0, 0.0], n, rng)
+        with pytest.raises(ValueError, match="at least 1"):
+            deformation_check(2, [1.0, -1.0], [0.5, -0.5], "bump", n, rng)
+        with pytest.raises(ValueError, match="at least 1"):
+            semicharacter_multiplicativity(2, [1.0, -1.0], [0.5, -0.5], n, rng)
+
+
+def _su_clouds(d, x, y, n, rng):
+    """Both clouds from one SU(d) Haar stack, as the paper states them."""
+    u = kernels.haar_unitary_batch(d, n, rng, special=True)
+    herm = np.linalg.eigvalsh(np.diag(x) + (u * y) @ np.conj(np.swapaxes(u, 1, 2)))[:, ::-1]
+    logs = np.log(np.linalg.svd(np.exp(x)[:, None] * u * np.exp(y), compute_uv=False))
+    return herm - herm.mean(axis=1, keepdims=True), logs - logs.mean(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("d, x, y", [
+    (2, [1.0, -1.0], [0.6, -0.6]),
+    (3, [1.0, 0.0, -1.0], [0.5, 0.0, -0.5]),
+    (4, [1.5, 0.5, -0.5, -1.5], [0.7, 0.2, -0.1, -0.8]),
+])
+def test_clouds_equal_su_clouds(d, x, y):
+    # a central phase on U changes neither cloud, so the U(d) draws of the
+    # samplers give the SU(d) samples of the same substream up to rounding
+    x, y = np.array(x), np.array(y)
+    su_herm, su_group = _su_clouds(d, x, y, 3_000, substream(1, 17))
+    herm = conv_hermitian_cloud(d, x, y, 3_000, substream(1, 17))
+    group = conv_group_cloud(d, x, y, 3_000, substream(1, 17))
+    assert np.max(np.abs(herm - su_herm)) <= 1e-13
+    assert np.max(np.abs(group - su_group)) <= 1e-13
 
 
 def test_deformation_check_bump():
