@@ -16,7 +16,7 @@ CSV formats (every field reads back with float(); the files that
   r_exponent.
 
 Determinism: all randomness flows from --seed through documented substreams,
-and reductions are order-fixed.  Every output file embeds its RunManifest;
+and reductions are order-fixed.  Every output file embeds its run manifest;
 wall-time is reported on stderr only, so reruns with the same manifest are
 byte-identical.
 """
@@ -24,7 +24,6 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -39,22 +38,12 @@ from .special import m1_closed, semicharacter, spherical_phi, spherical_psi
 from .walk import WalkConfig, euclidean_walk_crosscheck, run_group_walk
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    params: dict
-    seed: int | None
-    version: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _manifest(args: argparse.Namespace) -> RunManifest:
+def _manifest(args: argparse.Namespace) -> dict:
+    """The run manifest: command, sorted parameters, seed and version."""
     params = {k: v for k, v in sorted(vars(args).items())
               if k not in ("func", "seed", "command")}
-    return RunManifest(command=args.command, params=params,
-                       seed=getattr(args, "seed", None), version=__version__)
+    return {"command": args.command, "params": params,
+            "seed": getattr(args, "seed", None), "version": __version__}
 
 
 def _parse_vector(text: str, name: str) -> np.ndarray:
@@ -67,9 +56,9 @@ def _parse_vector(text: str, name: str) -> np.ndarray:
     return v
 
 
-def _emit(payload: dict, manifest: RunManifest, out: str | None) -> None:
+def _emit(payload: dict, manifest: dict, out: str | None) -> None:
     payload = dict(payload)
-    payload["manifest"] = manifest.as_dict()
+    payload["manifest"] = manifest
     text = json.dumps(payload, indent=2) + "\n"
     if out:
         Path(out).write_text(text)
@@ -77,10 +66,10 @@ def _emit(payload: dict, manifest: RunManifest, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _open_csv(out: str, manifest: RunManifest):
+def _open_csv(out: str, manifest: dict):
     """Open ``<out>.csv`` for writing, its ``# manifest:`` line written."""
     f = open(out + ".csv", "w")
-    f.write("# manifest: " + json.dumps(manifest.as_dict()) + "\n")
+    f.write("# manifest: " + json.dumps(manifest) + "\n")
     return f
 
 
@@ -133,9 +122,7 @@ def cmd_convolve(args) -> int:
     if args.out:
         with _open_csv(args.out, manifest) as f:
             convolve.EmpiricalMeasure.uniform(cloud).write_csv(f)
-        _emit(summary, manifest, args.out + ".json")
-    else:
-        _emit(summary, manifest, None)
+    _emit(summary, manifest, args.out + ".json" if args.out else None)
     return 0
 
 
@@ -205,12 +192,10 @@ def cmd_walk(args) -> int:
         _emit(payload, manifest, args.out + ".json" if args.out else None)
         return 0 if rep.passed else 1
     report = run_group_walk(cfg)
+    _emit(json.loads(report.to_json()), manifest, args.out + ".json" if args.out else None)
     if args.out:
-        _emit(json.loads(report.to_json()), manifest, args.out + ".json")
         with _open_csv(args.out, manifest) as f:
             f.write(report.to_csv())
-    else:
-        _emit(json.loads(report.to_json()), manifest, None)
     return 0
 
 

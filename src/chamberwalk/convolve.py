@@ -5,8 +5,9 @@ delta_x . delta_y  (group product side):   log-singular spectra of
                                            e^diag(x) U e^diag(y),
 with U Haar in U(d).  The paper takes U Haar in SU(d); the laws agree,
 because a central phase e^{i theta} on U cancels in U diag(y) U* and leaves
-the singular values of e^diag(x) U e^diag(y) unchanged, so the samplers skip
-the SU(d) determinant correction.  On top of the samplers: the
+the singular values of e^diag(x) U e^diag(y) unchanged.  Both clouds run one
+chunked sampling loop and differ only in the spectrum map applied to each
+chunk of U draws.  On top of the samplers: the
 deformation-identity check, semicharacter multiplicativity, the
 support-equivalence test and the empirical spherical transform.
 """
@@ -34,6 +35,8 @@ from .special import (
 EPS_SUPP = 1e-3
 
 _CHUNK = 50_000
+#: random split halves per cloud in `support_equivalence`
+_SELF_SPLITS = 4
 #: rows formatted per write by `EmpiricalMeasure.write_csv`
 _CSV_BLOCK = 4096
 
@@ -123,14 +126,10 @@ class CheckResult:
         return abs(self.lhs - self.rhs) <= 3.0 * (self.stderr_lhs + self.stderr_rhs)
 
 
-def _a_system(d: int) -> RootSystem:
-    return build_root_system("A", d - 1)
-
-
 def _check_pair(d, x, y, n):
     if n < 1:
         raise ValueError(f"sample size n must be at least 1, got {n}")
-    rs = _a_system(d)
+    rs = build_root_system("A", d - 1)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for v in (x, y):
@@ -139,46 +138,44 @@ def _check_pair(d, x, y, n):
     return rs, x, y
 
 
-def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
-    """n samples from delta_x * delta_y: spectra of diag(x) + U diag(y) U*."""
-    rs, x, y = _check_pair(d, x, y, n)
+def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
+    """n centred rows of ``spectra(x, y, u)`` over Haar U(d) stacks u.
+
+    u is drawn in chunks of `_CHUNK`; a zero x or y makes every sample the
+    other point, with no draw.
+    """
+    _, x, y = _check_pair(d, x, y, n)
     if not y.any():
         return np.tile(x, (n, 1))
     if not x.any():
         return np.tile(y, (n, 1))
     out = np.empty((n, d))
-    done = 0
-    while done < n:
+    for done in range(0, n, _CHUNK):
         m = min(_CHUNK, n - done)
-        u = kernels.haar_unitary_batch(d, m, rng)
-        mats = (u * y[None, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
-        mats += np.diag(x)[None, :, :]
-        w = np.linalg.eigvalsh(mats)[:, ::-1]
+        w = spectra(x, y, kernels.haar_unitary_batch(d, m, rng))
         out[done : done + m] = w - w.mean(axis=1, keepdims=True)
-        done += m
     return out
+
+
+def _hermitian_spectra(x, y, u):
+    mats = (u * y[None, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
+    mats += np.diag(x)[None, :, :]
+    return np.linalg.eigvalsh(mats)[:, ::-1]
+
+
+def _group_spectra(x, y, u):
+    mats = np.exp(x)[None, :, None] * u * np.exp(y)[None, None, :]
+    return np.log(np.linalg.svd(mats, compute_uv=False))
+
+
+def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
+    """n samples from delta_x * delta_y: spectra of diag(x) + U diag(y) U*."""
+    return _cloud(d, x, y, n, rng, _hermitian_spectra)
 
 
 def conv_group_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     """n samples from delta_x . delta_y: q(e^diag(x) U e^diag(y))."""
-    rs, x, y = _check_pair(d, x, y, n)
-    if not y.any():
-        return np.tile(x, (n, 1))
-    if not x.any():
-        return np.tile(y, (n, 1))
-    ex = np.exp(x)
-    ey = np.exp(y)
-    out = np.empty((n, d))
-    done = 0
-    while done < n:
-        m = min(_CHUNK, n - done)
-        u = kernels.haar_unitary_batch(d, m, rng)
-        mats = ex[None, :, None] * u * ey[None, None, :]
-        s = np.linalg.svd(mats, compute_uv=False)
-        logs = np.log(s)
-        out[done : done + m] = logs - logs.mean(axis=1, keepdims=True)
-        done += m
-    return out
+    return _cloud(d, x, y, n, rng, _group_spectra)
 
 
 def _test_function(rs: RootSystem, f):
@@ -265,10 +262,10 @@ def support_equivalence(d: int, x, y, n: int, rng) -> SupportReport:
     return SupportReport(h, self_a, self_b, passed)
 
 
-def _self_split(cloud: np.ndarray, rng, n_splits: int = 4) -> float:
+def _self_split(cloud: np.ndarray, rng) -> float:
     half = cloud.shape[0] // 2
     worst = 0.0
-    for _ in range(n_splits):
+    for _ in range(_SELF_SPLITS):
         idx = rng.permutation(cloud.shape[0])
         worst = max(worst, _hausdorff(cloud[idx[:half]], cloud[idx[half:]]))
     return worst
@@ -286,7 +283,7 @@ def spherical_transform_empirical(
     if which not in ("psi", "phi"):
         raise ValueError("which must be 'psi' or 'phi'")
     if rs is None:
-        rs = _a_system(measure.atoms.shape[1])
+        rs = build_root_system("A", measure.atoms.shape[1] - 1)
     rows = spherical_psi_rows if which == "psi" else spherical_phi_rows
     vals = np.conj(rows(rs, np.asarray(lam, dtype=float), measure.atoms).value)
     est = complex(np.sum(measure.weights * vals))

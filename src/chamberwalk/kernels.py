@@ -10,8 +10,8 @@ coincides with family B.
 Single-matrix spectra are one LAPACK call each (numpy's eigvalsh and svd),
 behind the validation of the maps p and q; the tests check q against
 80-digit mpmath singular values.
-Haar U(d) samples come from a vectorised Gram-Schmidt QR of a Ginibre stack,
-Haar SO(m) samples from LAPACK's QR via numpy.
+Haar U(d) and SO(m) samples come from one vectorised Gram-Schmidt QR of a
+complex or real Ginibre stack.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ _DET_TOL = 1e-8
 def _positive_qr_q(z: np.ndarray) -> np.ndarray:
     """The Q of z = QR with a positive R diagonal, for a stack (n, d, d).
 
+    z may be complex or real; a real z gives a real orthogonal Q.
     Classical Gram-Schmidt over the columns, projecting twice before each
     normalisation; the second pass restores orthogonality to working
     precision (Giraud, Langou & Rozloznik 2005).  Overwrites and returns z.
@@ -48,37 +49,34 @@ def _positive_qr_q(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def haar_unitary_batch(d: int, n: int, rng, special: bool = False) -> np.ndarray:
-    """n Haar-distributed elements of U(d) (or SU(d)), shape (n, d, d).
+def haar_unitary_batch(d: int, n: int, rng) -> np.ndarray:
+    """n Haar-distributed elements of U(d), shape (n, d, d).
 
     The Q factor, with positive R diagonal, of a complex Ginibre stack (real
     normals, then imaginary normals) is exactly Haar (Mezzadri 2007); it is
     taken by `_positive_qr_q`, and Q does not depend on the Ginibre scale.
-    The SU correction divides by a d-th root of the determinant (the branch
-    choice is invisible to biinvariant statistics).
+    Every law the package draws through it is blind to a central phase on
+    U, so there is no SU(d) correction; `sample_biinvariant` makes det Z = 1
+    on its product instead.
     """
     if d < 2:
         raise ValueError("d >= 2 required")
     z = np.empty((n, d, d), dtype=complex)
     z.real = rng.standard_normal((n, d, d))
     z.imag = rng.standard_normal((n, d, d))
-    q = _positive_qr_q(z)
-    if special:
-        det = np.linalg.det(q)
-        q = q * np.exp(-1j * np.angle(det) / d)[:, None, None]
-    return q
+    return _positive_qr_q(z)
 
 
 def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
-    """n Haar-distributed elements of SO(m), shape (n, m, m)."""
+    """n Haar-distributed elements of SO(m), shape (n, m, m).
+
+    The positive-R Q factor of a real Ginibre stack, by `_positive_qr_q`, is
+    Haar in O(m); negating the last column where det Q = -1 maps it to SO(m).
+    """
     if m < 2:
         raise ValueError("m >= 2 required")
-    z = rng.standard_normal((n, m, m))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * np.sign(diag)[:, None, :]
-    det = np.linalg.det(q)
-    flip = det < 0
+    q = _positive_qr_q(rng.standard_normal((n, m, m)))
+    flip = np.linalg.det(q) < 0
     q[flip, :, -1] = -q[flip, :, -1]
     return q
 
@@ -88,6 +86,8 @@ def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
 
 
 def _check_hermitian_traceless(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.conj().T).max() > _HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within 1e-12")
@@ -104,9 +104,8 @@ def hermitian_spectrum(a) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     _check_hermitian_traceless(a)
-    out = np.linalg.eigvalsh(a)[::-1].copy()
-    out -= out.mean()
-    return out
+    out = np.linalg.eigvalsh(a)[::-1]
+    return out - out.mean()
 
 
 def log_singular_spectrum(b) -> np.ndarray:
@@ -135,26 +134,40 @@ def log_singular_spectrum(b) -> np.ndarray:
                 "products with the QR accumulator instead"
             )
     out = np.log(s)
-    out -= out.mean()
-    return out
+    return out - out.mean()
 
 
 # ---------------------------------------------------------------------------
 # Orbit and biinvariant samplers
 
 
-def sample_biinvariant(x, rng) -> np.ndarray:
-    """One SL(d,C) element Z = U diag(e^x) V with independent Haar U, V in SU(d).
+def biinvariant_batch(xs, rng) -> np.ndarray:
+    """U diag(e^x) V for each row x of ``xs``, shape (n, d, d).
 
-    By construction log_singular_spectrum(Z) = x; the law is SU(d)-biinvariant.
+    U and V are Haar in U(d), the U stack drawn first.  A central phase
+    cannot change a singular value, so under q these steps have the law of
+    the SU(d)-biinvariant ones.
+    """
+    n, d = xs.shape
+    u = haar_unitary_batch(d, n, rng)
+    v = haar_unitary_batch(d, n, rng)
+    return (u * np.exp(xs)[:, None, :]) @ v
+
+
+def sample_biinvariant(x, rng) -> np.ndarray:
+    """One SL(d,C) element Z = U diag(e^x) V, SU(d)-biinvariant in law.
+
+    One row of `biinvariant_batch`, times the scalar e^{-i arg(det Z)/d} that
+    makes det Z = 1; the scalar is central, so the law is that of U, V Haar
+    in SU(d), and log_singular_spectrum(Z) = x.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("chamber point has non-finite entries")
     if abs(x.sum()) > 1e-9:
         raise ValueError("chamber point must have zero coordinate sum")
-    u = haar_unitary_batch(d, 1, rng, special=True)[0]
-    v = haar_unitary_batch(d, 1, rng, special=True)[0]
-    return (u * np.exp(x)[None, :]) @ v
+    z = biinvariant_batch(x[None], rng)[0]
+    return z * np.exp(-1j * np.angle(np.linalg.det(z)) / x.shape[0])
 
 
 def block_embed(rs: RootSystem, x) -> np.ndarray:
@@ -182,8 +195,8 @@ def orbit_diagonal_batch(rs: RootSystem, x, n: int, rng) -> np.ndarray:
     if rs.family == "A":
         u = haar_unitary_batch(x.shape[0], n, rng)
         return np.abs(u) ** 2 @ x
-    m = 2 * rs.rank + (1 if rs.family == "B" else 0)
-    q = haar_orthogonal_batch(m, n, rng)
-    a = q @ block_embed(rs, x) @ np.transpose(q, (0, 2, 1))
+    a = block_embed(rs, x)
+    q = haar_orthogonal_batch(a.shape[0], n, rng)
+    a = q @ a @ np.transpose(q, (0, 2, 1))
     idx = 2 * np.arange(rs.rank)
     return a[:, idx, idx + 1]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convolve, kernels, walk
-from .roots import build_root_system, chamber_project, min_root_pairing
+from .roots import build_root_system, chamber_project, in_chamber, min_root_pairing
 from .special import (
     m1_closed,
     m1_closed_rows,
@@ -34,12 +34,14 @@ RHO_FORMULAS = {
     "D": lambda r: np.arange(2 * r - 2, -1, -2, dtype=float),
 }
 
-FAST = dict(n_mc=30_000, n_conv=20_000, n_supp=2_000, n_extent=200_000,
+FAST = dict(n_mc=30_000, n_conv=20_000, n_supp=2_000,
             lln_steps=800, lln_reps=2, ks_reps=400, ks_steps=30, qr_walks=20,
             contract_pairs=100, n_pts=3)
-FULL = dict(n_mc=1_000_000, n_conv=100_000, n_supp=10_000, n_extent=200_000,
+FULL = dict(n_mc=1_000_000, n_conv=100_000, n_supp=10_000,
             lln_steps=5_000, lln_reps=5, ks_reps=2_000, ks_steps=50,
             qr_walks=100, contract_pairs=1_000, n_pts=5)
+#: sample size of the support check's two extent clouds, at both levels
+N_EXTENT = 200_000
 
 
 @dataclass
@@ -53,13 +55,9 @@ class CheckOutcome:
 
 
 def _random_regular(rs, rng, scale=1.0, min_gap=0.05):
-    while True:
-        v = rng.standard_normal(rs.ambient_dim) * scale
-        if rs.family == "A":
-            v -= v.mean()
-        x = chamber_project(rs, v)
-        if min_root_pairing(rs, x) > min_gap:
-            return x
+    # min |<alpha, v>| is W-invariant, so the chamber point of a regular
+    # vector is regular
+    return chamber_project(rs, _random_regular_vec(rs, rng, scale, min_gap))
 
 
 def _random_regular_vec(rs, rng, scale=1.0, min_gap=0.05):
@@ -148,7 +146,6 @@ def check_m1_consistency(p, rng) -> CheckOutcome:
                 failures += 1
     # membership and contraction across all four families
     geo_bad = 0
-    from .roots import in_chamber
     for fam, rank in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
         rs = build_root_system(fam, rank)
         xs = np.array([_random_regular(rs, rng, min_gap=0.0) for _ in range(200)])
@@ -232,8 +229,8 @@ def check_support(p, rng) -> CheckOutcome:
                         "pass": rep.passed})
     # extent of the d=2, x=y=(1,-1) clouds against the exact support [0, 2];
     # the density vanishes linearly at s=0, so the min needs a large sample
-    ch = convolve.conv_hermitian_cloud(2, [1, -1], [1, -1], p["n_extent"], rng)[:, 0]
-    cg = convolve.conv_group_cloud(2, [1, -1], [1, -1], p["n_extent"], rng)[:, 0]
+    ch = convolve.conv_hermitian_cloud(2, [1, -1], [1, -1], N_EXTENT, rng)[:, 0]
+    cg = convolve.conv_group_cloud(2, [1, -1], [1, -1], N_EXTENT, rng)[:, 0]
     extent_ok = bool(
         ch.max() > 2 - 0.02 and ch.min() < 0.02 and cg.max() > 2 - 0.02 and cg.min() < 0.02
     )
@@ -260,7 +257,6 @@ def check_strong_law(p, rng, seed: int = 0) -> tuple[CheckOutcome, walk.WalkRepo
     ]
     ok = True
     detail = []
-    last_report = None
     for i, (d, atoms, weights) in enumerate(cases):
         cfg = WalkConfig(d=d, atoms=np.array(atoms), weights=np.array(weights),
                          n_steps=p["lln_steps"], n_replicas=p["lln_reps"],
@@ -270,8 +266,7 @@ def check_strong_law(p, rng, seed: int = 0) -> tuple[CheckOutcome, walk.WalkRepo
         ok &= run.final_error <= tol
         detail.append({"d": d, "final_errors": run.final_errors, "tol": tol,
                        "limit": run.limit_c.tolist()})
-        last_report = run
-    return CheckOutcome("strong_law", ok, {"cases": detail}), last_report
+    return CheckOutcome("strong_law", ok, {"cases": detail}), run
 
 
 def check_qr_exactness(p, rng) -> CheckOutcome:

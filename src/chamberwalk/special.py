@@ -127,6 +127,8 @@ def _check_vec(rs: RootSystem, v, dtype=float) -> np.ndarray:
         raise ValueError(
             f"expected vector of length {rs.ambient_dim}, got shape {v.shape}"
         )
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
     return v
 
 
@@ -269,6 +271,8 @@ def _check_rows(rs: RootSystem, xs) -> np.ndarray:
         raise ValueError(
             f"expected rows of length {rs.ambient_dim}, got shape {xs.shape}"
         )
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("rows have non-finite entries")
     return xs
 
 
@@ -357,15 +361,13 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
 
     sums = np.zeros(rs.ambient_dim)
     sq_sums = np.zeros(rs.ambient_dim)
-    done = 0
-    while done < n:
+    for done in range(0, n, _M1_MC_CHUNK):
         m = min(_M1_MC_CHUNK, n - done)
         v = kernels.orbit_diagonal_batch(rs, x, m, rng)
         w = np.exp(v @ rs.rho - c)
         vw = v * w[:, None]
         sums += vw.sum(axis=0)
         sq_sums += (vw * vw).sum(axis=0)
-        done += m
     mean = sums / n
     var = np.maximum(sq_sums / n - mean**2, 0.0)
     scale = math.exp(-log_norm)
@@ -378,7 +380,7 @@ def m1_expectation(rs: RootSystem, atoms, weights) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if atoms.shape[0] != weights.shape[0]:
         raise ValueError("one weight per atom required")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+    if np.any(weights < 0) or not abs(weights.sum() - 1.0) <= 1e-12:
         raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
     live = weights > 0
     return weights[live] @ m1_closed_rows(rs, atoms[live])

@@ -68,7 +68,7 @@ class WalkConfig:
             raise ValueError("n_steps >= 1 and n_replicas >= 1 required")
         if not (1.0 <= self.r_exponent < 2.0):
             raise ValueError("r_exponent must lie in [1, 2)")
-        if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0):
+        if not abs(self.weights.sum() - 1.0) <= 1e-12 or np.any(self.weights < 0):
             raise ValueError("step measure must be a probability vector")
         rs = build_root_system("A", self.d - 1)
         for a in self.atoms:
@@ -217,18 +217,6 @@ def _checkpoints(n: int) -> list[int]:
     return [2**k for k in range(1, (n - 1).bit_length())] + [n]
 
 
-def _step_matrices(cfg: WalkConfig, idx: np.ndarray, rng) -> np.ndarray:
-    """Biinvariant steps U e^{x} V for the given atom indices, shape (m,d,d).
-
-    U, V are Haar in U(d): a scalar phase cannot change a singular value.
-    """
-    m = idx.shape[0]
-    u = kernels.haar_unitary_batch(cfg.d, m, rng)
-    v = kernels.haar_unitary_batch(cfg.d, m, rng)
-    ex = np.exp(cfg.atoms[idx])
-    return (u * ex[:, None, :]) @ v
-
-
 def run_group_walk(cfg: WalkConfig) -> WalkReport:
     """Run the biinvariant product walk and compare against the m1 limit.
 
@@ -247,7 +235,7 @@ def run_group_walk(cfg: WalkConfig) -> WalkReport:
         acc = ProductAccumulator(cfg.d)
         traj = []
         for pos in range(0, cfg.n_steps, _CHUNK):
-            zs = np.stack([_step_matrices(cfg, ix[pos : pos + _CHUNK], rng)
+            zs = np.stack([kernels.biinvariant_batch(cfg.atoms[ix[pos : pos + _CHUNK]], rng)
                            for ix, rng in zip(idx, rngs)], axis=1)
             for step, z in enumerate(zs, start=pos + 1):
                 acc.update(z)
@@ -339,16 +327,6 @@ class CrosscheckReport:
     def passed(self) -> bool:
         return all(d < self.critical_1pct for d in self.ks_distances)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "ks_distances": self.ks_distances,
-                "critical_1pct": self.critical_1pct,
-                "n_replicas": self.n_replicas,
-                "pass": self.passed,
-            }
-        )
-
 
 def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
     """Equality in law of the group walk and the tilted additive walk.
@@ -366,7 +344,7 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
     idx = rng_g.choice(len(cfg.weights), size=(reps, n), p=cfg.weights)
     acc = ProductAccumulator(d)
     for step in range(n):
-        acc.update(_step_matrices(cfg, idx[:, step], rng_g))
+        acc.update(kernels.biinvariant_batch(cfg.atoms[idx[:, step]], rng_g))
     q_logs = acc.readout()
 
     # Euclidean side: sums of tilted orbit samples

@@ -82,6 +82,20 @@ def test_sample_size_below_one_exits_2(argv, capsys, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "psi", "A", "1", "--x", "[NaN,0]", "--lambda", "[1,-1]"],
+    ["eval", "phi", "A", "1", "--x", "[1,-1]", "--lambda", "[Infinity,-1]"],
+    ["eval", "semichar", "A", "1", "--x", "[NaN,0]"],
+    ["eval", "m1", "A", "2", "--x", "[Infinity,0,-1]"],
+])
+def test_non_finite_vectors_exit_2(argv, capsys, recwarn):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vector has non-finite entries\n", captured.err
+    assert not recwarn.list
+
+
 def test_unknown_family_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rho", "E", "6"])
@@ -217,9 +231,10 @@ def test_selftest_mutation_fails(tmp_path, capsys, monkeypatch):
     broken["A"] = lambda r: np.arange(r, -r - 1, -2, dtype=float) + 1.0
     monkeypatch.setattr(st, "RHO_FORMULAS", broken)
     monkeypatch.setattr(st, "FAST", {**st.FAST, "n_mc": 2000, "n_conv": 2000,
-                                     "n_supp": 200, "n_extent": 2000, "lln_steps": 64,
+                                     "n_supp": 200, "lln_steps": 64,
                                      "lln_reps": 1, "ks_reps": 120, "ks_steps": 10,
                                      "qr_walks": 3, "contract_pairs": 10, "n_pts": 1})
+    monkeypatch.setattr(st, "N_EXTENT", 2000)
     code = main(["selftest", "--level", "fast", "--seed", "0",
                  "--out", str(tmp_path / "st")])
     capsys.readouterr()
@@ -259,9 +274,10 @@ def test_every_cli_csv_parses_as_plain_floats(tmp_path, capsys, monkeypatch):
     import chamberwalk.selftest as st
 
     monkeypatch.setattr(st, "FAST", {**st.FAST, "n_mc": 2000, "n_conv": 2000,
-                                     "n_supp": 200, "n_extent": 2000, "lln_steps": 64,
+                                     "n_supp": 200, "lln_steps": 64,
                                      "lln_reps": 1, "ks_reps": 120, "ks_steps": 10,
                                      "qr_walks": 3, "contract_pairs": 10, "n_pts": 1})
+    monkeypatch.setattr(st, "N_EXTENT", 2000)
     main(["selftest", "--level", "fast", "--seed", "0", "--out", str(tmp_path / "st")])
     capsys.readouterr()
     header, rows = _read_csv(tmp_path / "st" / "walk_trajectory.csv")

@@ -200,7 +200,8 @@ def test_sample_size_below_one_rejected():
 
 def _su_clouds(d, x, y, n, rng):
     """Both clouds from one SU(d) Haar stack, as the paper states them."""
-    u = kernels.haar_unitary_batch(d, n, rng, special=True)
+    u = kernels.haar_unitary_batch(d, n, rng)
+    u = u * np.exp(-1j * np.angle(np.linalg.det(u)) / d)[:, None, None]
     herm = np.linalg.eigvalsh(np.diag(x) + (u * y) @ np.conj(np.swapaxes(u, 1, 2)))[:, ::-1]
     logs = np.log(np.linalg.svd(np.exp(x)[:, None] * u * np.exp(y), compute_uv=False))
     return herm - herm.mean(axis=1, keepdims=True), logs - logs.mean(axis=1, keepdims=True)

@@ -5,6 +5,7 @@ import scipy.linalg
 
 from chamberwalk.kernels import (
     _positive_qr_q,
+    biinvariant_batch,
     block_embed,
     haar_orthogonal_batch,
     haar_unitary_batch,
@@ -24,13 +25,6 @@ def test_haar_unitary_is_unitary():
         assert np.allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
 
 
-def test_haar_special_unitary_determinant():
-    rng = substream(0, 1)
-    u = haar_unitary_batch(3, 50, rng, special=True)
-    dets = np.linalg.det(u)
-    assert np.allclose(dets, 1.0, atol=1e-10)
-
-
 def test_haar_unitary_moment():
     # E|u_11|^2 = 1/d for Haar U(d)
     rng = substream(0, 2)
@@ -42,11 +36,11 @@ def test_haar_unitary_moment():
 
 def test_haar_orthogonal_is_special_orthogonal():
     rng = substream(0, 3)
-    q = haar_orthogonal_batch(4, 50, rng)
-    assert np.allclose(q @ np.transpose(q, (0, 2, 1)), np.eye(4), atol=1e-12)
-    assert np.allclose(np.linalg.det(q), 1.0)
-    q1 = haar_orthogonal_batch(5, 1, rng)[0]
-    assert np.isclose(np.linalg.det(q1), 1.0)
+    for m in range(2, 10):
+        q = haar_orthogonal_batch(m, 500, rng)
+        assert q.dtype == float and q.shape == (500, m, m)
+        assert np.abs(q @ np.transpose(q, (0, 2, 1)) - np.eye(m)).max() < 1e-14
+        assert np.abs(np.linalg.det(q) - 1.0).max() < 1e-12
 
 
 def test_hermitian_spectrum_handles_degenerate_and_zero():
@@ -59,6 +53,10 @@ def test_hermitian_spectrum_validation():
         hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
     with pytest.raises(ValueError):
         hermitian_spectrum(np.eye(2))  # nonzero trace
+    # NaN makes every tolerance comparison false, so it must be refused by name
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, -np.inf])):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_spectrum(bad)
 
 
 def test_hermitian_spectrum_is_descending_centered():
@@ -85,6 +83,37 @@ def test_log_singular_spectrum_against_lapack():
         assert np.all(np.diff(q) <= 0)
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_sample_biinvariant_is_unimodular(d):
+    # the determinant correction on the product gives det Z = 1 and leaves
+    # the singular values, so q(Z) = x
+    rng = substream(6, 300 + d)
+    x = np.linspace(1.0, -1.0, d)
+    for _ in range(200):
+        z = sample_biinvariant(x, rng)
+        assert abs(np.linalg.det(z) - 1.0) <= 1e-12
+        assert np.abs(log_singular_spectrum(z) - x).max() <= 1e-12
+
+
+def test_biinvariant_batch_stream_layout():
+    # the U stack, then the V stack, from the caller's generator and nothing else
+    xs = np.array([[0.5, 0.0, -0.5], [1.0, -0.2, -0.8], [0.0, 0.0, 0.0]])
+    rng = substream(6, 400)
+    z = biinvariant_batch(xs, rng)
+    ref_rng = substream(6, 400)
+    u = haar_unitary_batch(3, 3, ref_rng)
+    v = haar_unitary_batch(3, 3, ref_rng)
+    ref = np.stack([u[i] @ np.diag(np.exp(xs[i])) @ v[i] for i in range(3)])
+    assert np.abs(z - ref).max() <= 1e-14
+    assert rng.random() == ref_rng.random()
+
+
+def test_sample_biinvariant_rejects_non_finite():
+    for x in ([np.nan, 0.0], [np.inf, -np.inf], [1.0, np.nan, -1.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_biinvariant(x, substream(6, 401))
+
+
 def test_sample_biinvariant_singular_values():
     # q(U e^x V) = x exactly (up to roundoff)
     rng = substream(0, 7)
@@ -107,9 +136,10 @@ def test_block_embed_antisymmetric():
 
 def _sample_orbit(rs, x, rng):
     # one Haar-random element of the compact-group orbit through x:
-    # U diag(x) U* for A, Q iota(x) Q^T with Q Haar in SO(m) for B/D
+    # U diag(x) U* for A (a phase on U cancels, so U(d) serves for SU(d)),
+    # Q iota(x) Q^T with Q Haar in SO(m) for B/D
     if rs.family == "A":
-        u = haar_unitary_batch(x.shape[0], 1, rng, special=True)[0]
+        u = haar_unitary_batch(x.shape[0], 1, rng)[0]
         return (u * x[None, :]) @ u.conj().T
     q = haar_orthogonal_batch(2 * rs.rank + (1 if rs.family == "B" else 0), 1, rng)[0]
     return q @ block_embed(rs, x) @ q.T
@@ -209,12 +239,17 @@ def _ginibre(rng, n, d):
     return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
 
 
-@pytest.mark.parametrize("d", range(2, 9))
+@pytest.mark.parametrize("d", range(2, 10))
 def test_positive_qr_q_matches_lapack(d):
     z = _ginibre(substream(6, d), 2000, d)
     ref = _lapack_positive_q(z)
     q = _positive_qr_q(z.copy())
     assert np.abs(q - ref).max() < 1e-12
+    # a real stack, as haar_orthogonal_batch draws it, gives a real Q
+    z = substream(6, 50 + d).standard_normal((2000, d, d))
+    q = _positive_qr_q(z.copy())
+    assert q.dtype == float
+    assert np.abs(q - _lapack_positive_q(z)).max() < 1e-12
 
 
 def test_positive_qr_q_near_singular_columns():
@@ -245,8 +280,3 @@ def test_haar_unitary_batch_unitarity(d):
     gram = np.conj(np.swapaxes(u, -1, -2)) @ u
     assert np.abs(gram - np.eye(d)).max() < 1e-14
 
-
-def test_haar_special_unitary_determinant_every_d():
-    for d in range(2, 9):
-        u = haar_unitary_batch(d, 1000, substream(6, 300 + d), special=True)
-        assert np.abs(np.linalg.det(u) - 1.0).max() < 1e-12

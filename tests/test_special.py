@@ -129,7 +129,7 @@ def test_psi_haar_mc_oracle_small():
         x -= x.mean()
         lam = np.linspace(0.9, -0.9, d)
         lam -= lam.mean()
-        u = haar_unitary_batch(d, 200_000, rng, special=True)
+        u = haar_unitary_batch(d, 200_000, rng)
         v = (np.abs(u) ** 2) @ x
         samples = np.exp(1j * (v @ lam))
         mc = samples.mean()
@@ -285,6 +285,41 @@ def test_dimension_mismatch_raises():
         spherical_psi(rs, np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
         semicharacter(rs, np.zeros(4))
+
+
+_X = [1.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, -1.0], [1.0, -np.inf]],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda rs, v: spherical_psi(rs, _X, v), id="psi-x"),
+    pytest.param(lambda rs, v: spherical_psi(rs, v, _X), id="psi-lambda"),
+    pytest.param(lambda rs, v: spherical_psi(rs, [complex(1.0, t) for t in v], _X),
+                 id="psi-complex-lambda"),
+    pytest.param(lambda rs, v: spherical_phi(rs, _X, v), id="phi-x"),
+    pytest.param(lambda rs, v: spherical_phi(rs, v, _X), id="phi-lambda"),
+    pytest.param(lambda rs, v: m1_closed(rs, v), id="m1"),
+    pytest.param(lambda rs, v: semicharacter(rs, v), id="semicharacter"),
+    pytest.param(lambda rs, v: log_semicharacter(rs, v), id="log-semicharacter"),
+    pytest.param(lambda rs, v: m1_mc(rs, v, 10, substream(0, 0)), id="m1-mc"),
+    pytest.param(lambda rs, v: spherical_psi_rows(rs, _X, [_X, v]), id="psi-rows"),
+    pytest.param(lambda rs, v: spherical_phi_rows(rs, _X, [v]), id="phi-rows"),
+    pytest.param(lambda rs, v: spherical_phi_rows(rs, v, [_X]), id="phi-rows-lambda"),
+    pytest.param(lambda rs, v: m1_closed_rows(rs, [_X, v]), id="m1-rows"),
+    pytest.param(lambda rs, v: m1_expectation(rs, [_X, v], [0.5, 0.5]), id="m1-expectation"),
+])
+def test_non_finite_inputs_raise(call, bad):
+    # NaN passes every shape and comparison check, so it must be refused by name
+    with pytest.raises(ValueError, match="non-finite"):
+        call(build_root_system("A", 1), bad)
+
+
+@pytest.mark.parametrize("weights", [[np.nan], [np.inf], [0.5, np.nan]])
+def test_m1_expectation_rejects_non_finite_weights(weights):
+    rs = build_root_system("A", 1)
+    with pytest.raises(ValueError, match="sum to 1"):
+        m1_expectation(rs, [_X] * len(weights), weights)
 
 
 # ---------------------------------------------------------------------------

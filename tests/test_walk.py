@@ -63,6 +63,12 @@ def test_walk_config_from_json_rejects_unknown_keys():
             WalkConfig.from_json(json.dumps({**base, **extra}))
 
 
+@pytest.mark.parametrize("weights", [[np.nan], [np.inf], [0.5, np.nan]])
+def test_walk_config_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="probability vector"):
+        WalkConfig(d=2, atoms=[[0.5, -0.5]] * len(weights), weights=weights, n_steps=10)
+
+
 def test_accumulator_matches_direct_product():
     rng = substream(2, 0)
     for d in (2, 3):
@@ -196,7 +202,7 @@ def test_tilted_orbit_batch_acceptance_rate():
     # proposals overshoot by design, so n/proposed only lower-bounds the
     # acceptance rate; the exact rate is E_Haar[exp(<rho, k.x> - <rho, x>)]
     assert 20_000 / proposed <= rate + 0.01
-    u = kernels.haar_unitary_batch(2, 100_000, rng, special=True)
+    u = kernels.haar_unitary_batch(2, 100_000, rng)
     v = (np.abs(u) ** 2) @ x
     observed = float(np.mean(np.exp(v @ rs.rho - float(rs.rho @ x))))
     assert abs(observed - rate) < 0.005
@@ -287,8 +293,8 @@ def test_tilted_orbit_batch_checks_the_envelope_past_the_last_acceptance(monkeyp
     draw = kernels.haar_unitary_batch
     sizes = []
 
-    def spoiled(d, n, rng, special=False):
-        u = draw(d, n, rng, special=special)
+    def spoiled(d, n, rng):
+        u = draw(d, n, rng)
         sizes.append(n)
         u[-1] = 2.0 * np.eye(d)
         return u
