@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .roots import (
     RootSystem,
     RootSystemError,
-    WeylElement,
+    WeylGroup,
     build_root_system,
     chamber_project,
     enumerate_weyl,
@@ -50,7 +50,7 @@ from .walk import (
 
 __all__ = [
     "__version__",
-    "RootSystem", "RootSystemError", "WeylElement", "build_root_system",
+    "RootSystem", "RootSystemError", "WeylGroup", "build_root_system",
     "chamber_project", "enumerate_weyl", "in_chamber",
     "SphericalRows", "SphericalValue", "m1_closed", "m1_closed_rows",
     "m1_expectation", "semicharacter", "spherical_phi", "spherical_phi_rows",

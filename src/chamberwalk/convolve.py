@@ -43,11 +43,14 @@ _CSV_BLOCK = 4096
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted chamber points; ``normalized`` means weights sum to 1."""
+    """Weighted chamber points: a probability measure on the chamber.
+
+    Atoms and weights must be finite, and the weights nonnegative with sum
+    within 1e-12 of 1; anything else raises ValueError.
+    """
 
     atoms: np.ndarray    # (n, d)
     weights: np.ndarray  # (n,)
-    normalized: bool = True
 
     def __post_init__(self):
         if self.atoms.ndim != 2 or self.weights.ndim != 1:
@@ -58,8 +61,8 @@ class EmpiricalMeasure:
             raise ValueError("atoms and weights must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be nonnegative")
-        if self.normalized and abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("normalized measure must have weights summing to 1")
+        if abs(self.weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights must sum to 1 within 1e-12")
 
     @classmethod
     def uniform(cls, atoms) -> "EmpiricalMeasure":
@@ -278,8 +281,6 @@ def spherical_transform_empirical(
 
     Returns (estimate, standard error of the weighted mean).
     """
-    if not measure.normalized:
-        raise ValueError("transform requires a normalized measure")
     if which not in ("psi", "phi"):
         raise ValueError("which must be 'psi' or 'phi'")
     if rs is None:

@@ -2,7 +2,8 @@
 
 Everything downstream (spherical functions, samplers, walks) consumes the
 objects built here: the positive roots, the vector rho (sum of the positive
-roots), the Weyl group as signed permutations, and the closed chamber C.
+roots), the Weyl group W as cached arrays of signed permutations, the
+closed chamber C, and the one validator of vector arguments.
 
 Conventions: vectors live in R^ambient_dim with the standard dot product.
 For family A the ambient dimension is rank+1 and all roots and chamber
@@ -59,21 +60,23 @@ class RootSystem:
 
 
 @dataclass(frozen=True)
-class WeylElement:
-    """A signed permutation: (w.v)[i] = signs[i] * v[perm[i]]."""
+class WeylGroup:
+    """W as signed permutations, one row per element w.
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-    det_sign: int
+    (w.v)[i] = signs[w, i] * v[perms[w, i]], and dets[w] = det w = +-1.
+    Rows run permutation-major, sign pattern minor.  The arrays are read-only.
+    """
 
+    perms: np.ndarray  # (|W|, dim) int
+    signs: np.ndarray  # (|W|, dim) float
+    dets: np.ndarray   # (|W|,) float
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    def images(self, v) -> np.ndarray:
+        """Every w.v, shape (..., |W|, dim), for v of shape (..., dim)."""
+        v = np.asarray(v)
+        if v.shape[-1:] != self.perms.shape[1:]:
+            raise ValueError(f"W acts on {self.perms.shape[1]}-vectors, got shape {v.shape}")
+        return self.signs * v[..., self.perms]
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -123,7 +126,7 @@ def _e(i: int, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_weyl_cached(family: str, rank: int) -> tuple[WeylElement, ...]:
+def _enumerate_weyl_cached(family: str, rank: int) -> WeylGroup:
     rs = build_root_system(family, rank)
     if rs.weyl_order > WEYL_ENUM_LIMIT:
         raise RootSystemError(
@@ -131,47 +134,54 @@ def _enumerate_weyl_cached(family: str, rank: int) -> tuple[WeylElement, ...]:
             f"above the enumeration guard {WEYL_ENUM_LIMIT}; lower the rank"
         )
     dim = rs.ambient_dim
-    elements = []
+    perms = np.array(list(itertools.permutations(range(dim))))
+    # each permutation's parity from its inversion count
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    parity = 1.0 - 2.0 * (inversions % 2)
     if family == "A":
-        sign_patterns = [tuple([1] * dim)]
-    elif family == "D":
-        sign_patterns = [
-            s for s in itertools.product((1, -1), repeat=dim) if np.prod(s) == 1
-        ]
+        patterns = np.ones((1, dim))
     else:
-        sign_patterns = list(itertools.product((1, -1), repeat=dim))
-    for perm in itertools.permutations(range(dim)):
-        ps = _perm_sign(perm)
-        for signs in sign_patterns:
-            det = ps * int(np.prod(signs))
-            elements.append(WeylElement(perm, signs, det))
-    assert len(elements) == rs.weyl_order
-    return tuple(elements)
+        patterns = np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+        if family == "D":
+            patterns = patterns[patterns.prod(axis=1) == 1.0]
+    k = patterns.shape[0]
+    perms = np.repeat(perms, k, axis=0)
+    signs = np.tile(patterns, (perms.shape[0] // k, 1))
+    dets = np.repeat(parity, k) * signs.prod(axis=1)
+    assert dets.size == rs.weyl_order
+    for a in (perms, signs, dets):
+        a.setflags(write=False)
+    return WeylGroup(perms, signs, dets)
 
 
-def enumerate_weyl(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """All Weyl group elements as signed permutations (guarded at 10^6)."""
+def enumerate_weyl(rs: RootSystem) -> WeylGroup:
+    """The Weyl group of ``rs`` as arrays, built on first use and cached.
+
+    Raises RootSystemError above WEYL_ENUM_LIMIT elements.
+    """
     return _enumerate_weyl_cached(rs.family, rs.rank)
 
 
-def apply_weyl(w: WeylElement, v) -> np.ndarray:
-    v = np.asarray(v)
-    if v.shape[-1] != len(w.perm):
-        raise ValueError(f"dimension mismatch: element acts on {len(w.perm)} coords")
-    return np.asarray(w.signs) * v[..., list(w.perm)]
+def _check_vec(rs: RootSystem, v, dtype=float) -> np.ndarray:
+    """``v`` as a finite array of shape (ambient_dim,) and the given dtype."""
+    v = np.asarray(v, dtype=dtype)
+    if v.shape != (rs.ambient_dim,):
+        raise ValueError(
+            f"expected vector of length {rs.ambient_dim}, got shape {v.shape}"
+        )
+    if not np.all(np.isfinite(v)):
+        raise ValueError("vector has non-finite entries")
+    return v
 
 
 def chamber_project(rs: RootSystem, v) -> np.ndarray:
     """The unique chamber representative of the Weyl orbit of ``v``.
 
     Family A inputs must have coordinate sum within 1e-9 of zero; they are
-    re-centered exactly before sorting.
+    re-centered exactly before sorting.  Raises ValueError on a wrong
+    length or a non-finite entry.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (rs.ambient_dim,):
-        raise ValueError(
-            f"expected vector of length {rs.ambient_dim}, got shape {v.shape}"
-        )
+    v = _check_vec(rs, v)
     if rs.family == "A":
         if abs(v.sum()) > _A_SUM_TOL:
             raise ValueError(
@@ -199,16 +209,6 @@ def in_chamber(rs: RootSystem, x, tol: float = 1e-12) -> bool:
     if rs.family in ("B", "C"):
         return x[-1] >= -tol
     return x[-2] >= abs(x[-1]) - tol  # D
-
-
-def alt_polynomial(rs: RootSystem, v) -> complex:
-    """The alternating polynomial pi(v): product of <alpha, v> over positive roots."""
-    v = np.asarray(v)
-    if v.shape != (rs.ambient_dim,):
-        raise ValueError(
-            f"expected vector of length {rs.ambient_dim}, got shape {v.shape}"
-        )
-    return complex(np.prod(rs.positive_roots @ v.astype(complex)))
 
 
 def min_root_pairing(rs: RootSystem, v) -> float:

@@ -43,7 +43,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .roots import RootSystem
+from . import kernels
+from .roots import RootSystem, _check_vec, build_root_system, enumerate_weyl
 
 #: regularity threshold on min |<alpha, x>|, |<alpha, lambda>|
 EPS_REG = 1e-8
@@ -70,22 +71,8 @@ class SphericalValue:
 
 
 @lru_cache(maxsize=None)
-def _weyl_arrays(family: str, rank: int):
-    from .roots import build_root_system, enumerate_weyl
-
-    rs = build_root_system(family, rank)
-    elements = enumerate_weyl(rs)
-    perms = np.array([w.perm for w in elements])
-    signs = np.array([w.signs for w in elements], dtype=float)
-    dets = np.array([w.det_sign for w in elements], dtype=float)
-    return perms, signs, dets
-
-
-@lru_cache(maxsize=None)
 def _constants(family: str, rank: int) -> tuple[float, float, np.ndarray]:
     """log pi(rho/2) (psi's normalization), log pi(rho), and m1's shift."""
-    from .roots import build_root_system
-
     rs = build_root_system(family, rank)
     pairings = rs.positive_roots @ rs.rho
     log_pi_rho = float(np.sum(np.log(pairings)))
@@ -119,17 +106,6 @@ def log_semicharacter_rows(rs: RootSystem, xs) -> np.ndarray:
     """log_semicharacter applied to each row of ``xs``."""
     xs = np.asarray(xs, dtype=float)
     return np.sum(_log_sinhc(xs @ rs.positive_roots.T), axis=-1)
-
-
-def _check_vec(rs: RootSystem, v, dtype=float) -> np.ndarray:
-    v = np.asarray(v, dtype=dtype)
-    if v.shape != (rs.ambient_dim,):
-        raise ValueError(
-            f"expected vector of length {rs.ambient_dim}, got shape {v.shape}"
-        )
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    return v
 
 
 def _log_pi_rows(rs: RootSystem, vs: np.ndarray) -> np.ndarray:
@@ -185,7 +161,7 @@ def _regular_rows(rs: RootSystem, kind: str, lam, xs: np.ndarray):
     go through in chunks whose (rows x |W| x dim) work arrays stay below
     _CHUNK_ENTRIES entries.
     """
-    perms, signs, dets = _weyl_arrays(rs.family, rs.rank)
+    weyl = enumerate_weyl(rs)
     log_c0, log_pi_rho, shift = _constants(rs.family, rs.rank)
     n, dim = xs.shape
     values = np.empty((n, dim)) if kind == "m1" else np.empty(n, dtype=complex)
@@ -194,20 +170,20 @@ def _regular_rows(rs: RootSystem, kind: str, lam, xs: np.ndarray):
         return values, bounds
     if kind != "m1":
         log_pi_lam = _log_pi_rows(rs, 1j * lam[None, :])
-    step = max(1, _CHUNK_ENTRIES // (dets.size * dim))
+    step = max(1, _CHUNK_ENTRIES // (weyl.dets.size * dim))
     for lo in range(0, n, step):
         x = xs[lo : lo + step]
-        wx = signs * x[:, perms]  # (rows, |W|, dim): every w.x
+        wx = weyl.images(x)  # (rows, |W|, dim): every w.x
         if kind != "psi":
             zd = _pairing(wx, rs.rho)
-            td, md = _alt_terms(zd, dets)
+            td, md = _alt_terms(zd, weyl.dets)
             sd = _ordered_sum(td, axis=1)
         if kind == "m1":
             moment = _ordered_sum(td[:, :, None] * wx, axis=1)
             values[lo : lo + step] = moment / sd[:, None] - shift
             continue
         zn = 1j * _pairing(wx, lam)
-        tn, mn = _alt_terms(zn, dets)
+        tn, mn = _alt_terms(zn, weyl.dets)
         sn = _ordered_sum(tn, axis=1)
         bn = _rounding_bound(zn, tn)
         if kind == "psi":
@@ -344,9 +320,9 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
     both per coordinate.  Families A, B and D have matrix realizations;
     family C is rejected (use the B<->C spherical-function identity).
     """
-    from . import kernels
-
     x = _check_vec(rs, x)
+    if n < 1:
+        raise ValueError(f"sample size n must be at least 1, got {n}")
     if rs.family == "C":
         raise ValueError(
             "family C has no matrix orbit realization; its spherical data "

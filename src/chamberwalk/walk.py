@@ -3,9 +3,9 @@
 The group walk multiplies i.i.d. biinvariant steps Z_i = U_i e^{x_i} V_i and
 tracks the log-singular spectrum q(S_n) through an overflow-safe accumulator.
 The strong law says q(S_n)/n converges to the m1-average of the step measure;
-`run_group_walk` verifies that, `euclidean_walk_crosscheck` compares the walk
-in law against the additive walk of tilted orbit samples, and `mz_rate_scan`
-probes the Marcinkiewicz-Zygmund rate.
+`run_group_walk` verifies that and records the Marcinkiewicz-Zygmund scaled
+deviations n^{-1/r} ||q(S_n) - n c||, and `euclidean_walk_crosscheck` compares
+the walk in law against the additive walk of tilted orbit samples.
 
 Accumulator note: the product is kept as Q . diag(e^L) . T with Q unitary,
 L the log-diagonal of the QR recursion and T triangular with unit-modulus
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import ks_2samp, theilslopes
+from scipy.stats import ks_2samp
 
 from . import kernels
 from .roots import RootSystem, build_root_system, in_chamber
@@ -363,22 +363,3 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
     ks = [float(ks_2samp(q_logs[:, i], p_vals[:, i]).statistic) for i in range(d)]
     crit = KS_COEFF_1PCT * math.sqrt(2.0 / reps)
     return CrosscheckReport(ks, crit, reps)
-
-
-def mz_rate_scan(cfg: WalkConfig):
-    """Scaled deviations n^{-1/r}(q(S_n) - n c) plus their log-log trend slope.
-
-    Returns (checkpoints, deviations, slope); a negative Theil-Sen slope is
-    the numeric surrogate for the almost-sure Marcinkiewicz-Zygmund law.
-    """
-    report = run_group_walk(cfg)
-    devs = report.mz_scaled_deviation
-    ns = report.checkpoints
-    live = [(n, v) for n, v in zip(ns, devs) if v > 0]
-    if len(live) >= 2:
-        slope = float(
-            theilslopes([math.log(v) for _, v in live], [math.log(n) for n, _ in live])[0]
-        )
-    else:
-        slope = 0.0
-    return ns, devs, slope

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from chamberwalk import convolve, kernels
 from chamberwalk.convolve import (
@@ -88,6 +89,32 @@ def test_d2_weyl_inequality():
         assert cloud[:, 0].min() >= lo - 1e-9
 
 
+@pytest.mark.parametrize("i, a, b", [(0, 1.0, 0.5), (1, 0.7, 0.7), (2, 1.5, 0.3)])
+def test_a1_clouds_follow_exact_laws(i, a, b):
+    """Exact A_1 laws of s, the first coordinate, on [|a - b|, a + b].
+
+    For x = (a, -a) and y = (b, -b), s has CDF (s^2 - (a-b)^2) / (4ab) on
+    the Hermitian side and (cosh 2s - cosh 2(a-b)) / (2 sinh 2a sinh 2b) on
+    the group side: the Hermitian law reweighted by the semicharacter.  The
+    group samples must also reject the Hermitian law, which they follow
+    only without that weight.
+    """
+    x, y = np.array([a, -a]), np.array([b, -b])
+    herm = conv_hermitian_cloud(2, x, y, 100_000, substream(0, 2 * i))[:, 0]
+    group = conv_group_cloud(2, x, y, 100_000, substream(0, 2 * i + 1))[:, 0]
+
+    def herm_cdf(s):
+        return np.clip((s**2 - (a - b) ** 2) / (4.0 * a * b), 0.0, 1.0)
+
+    def group_cdf(s):
+        num = np.cosh(2.0 * s) - np.cosh(2.0 * (a - b))
+        return np.clip(num / (2.0 * np.sinh(2.0 * a) * np.sinh(2.0 * b)), 0.0, 1.0)
+
+    assert kstest(herm, herm_cdf).pvalue > 0.01
+    assert kstest(group, group_cdf).pvalue > 0.01
+    assert kstest(group, herm_cdf).pvalue < 1e-6
+
+
 def test_rejects_non_chamber_inputs():
     rng = substream(1, 5)
     with pytest.raises(ValueError):
@@ -99,7 +126,6 @@ def test_rejects_non_chamber_inputs():
 def test_empirical_measure_uniform_and_csv():
     atoms = np.array([[1.0, -1.0], [0.5, -0.5]])
     m = EmpiricalMeasure.uniform(atoms)
-    assert m.normalized
     assert np.allclose(m.weights.sum(), 1.0)
     csv = m.to_csv()
     assert csv.splitlines()[0] == "x1,x2,weight"
@@ -126,9 +152,10 @@ def _csv_cases():
         if n:
             yield f"uniform-{n}", EmpiricalMeasure.uniform(atoms)
             yield f"dirichlet-{n}", EmpiricalMeasure(atoms, rng.dirichlet(np.ones(n)))
-        w = np.zeros(n)
-        w[: min(n, 4)] = [-0.0, 5e-324, 1e-5, 1e16][: min(n, 4)]
-        yield f"zero-{n}", EmpiricalMeasure(atoms, w, normalized=False)
+        if n >= 4:
+            w = np.zeros(n)
+            w[:4] = [-0.0, 5e-324, 1e-5, 1.0 - 1e-5]
+            yield f"zero-{n}", EmpiricalMeasure(atoms, w)
 
 
 def _first_difference(got, ref):
@@ -169,9 +196,8 @@ def test_write_csv_peak_memory(tmp_path):
     ([[0.0, 0.0], [1.0, -1.0]], [np.inf, 0.5]),
 ])
 def test_empirical_measure_rejects_non_finite(atoms, weights):
-    for normalized in (True, False):
-        with pytest.raises(ValueError, match="finite"):
-            EmpiricalMeasure(np.array(atoms), np.array(weights), normalized=normalized)
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalMeasure(np.array(atoms), np.array(weights))
 
 
 @pytest.mark.parametrize("atoms, weights", [
@@ -325,7 +351,6 @@ def test_transform_homomorphism_hermitian_side():
     assert abs(est - target) <= 4.0 * se
 
 
-def test_transform_requires_normalized_measure():
-    m = EmpiricalMeasure(atoms=np.zeros((1, 2)), weights=np.array([2.0]), normalized=False)
-    with pytest.raises(ValueError):
-        spherical_transform_empirical(m, np.array([1.0, -1.0]), "psi")
+def test_measure_weights_must_sum_to_one():
+    with pytest.raises(ValueError, match="sum to 1"):
+        EmpiricalMeasure(atoms=np.zeros((2, 2)), weights=np.array([1.0, 1.0]))

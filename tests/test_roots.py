@@ -1,10 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from chamberwalk.roots import (
     RootSystemError,
-    alt_polynomial,
-    apply_weyl,
     build_root_system,
     chamber_project,
     enumerate_weyl,
@@ -62,7 +62,9 @@ def test_ambient_dimensions():
 def test_weyl_order(family, rank, order):
     rs = build_root_system(family, rank)
     assert rs.weyl_order == order
-    assert len(enumerate_weyl(rs)) == order
+    weyl = enumerate_weyl(rs)
+    assert weyl.dets.shape == (order,)
+    assert weyl.perms.shape == weyl.signs.shape == (order, rs.ambient_dim)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 6)])
@@ -76,22 +78,76 @@ def test_weyl_elements_are_isometries():
     for fam, rank in [("A", 2), ("B", 2), ("C", 3), ("D", 4)]:
         rs = build_root_system(fam, rank)
         v = rng.standard_normal(rs.ambient_dim)
-        for w in enumerate_weyl(rs):
-            assert np.isclose(np.linalg.norm(apply_weyl(w, v)), np.linalg.norm(v))
+        for wv in enumerate_weyl(rs).images(v):
+            assert np.isclose(np.linalg.norm(wv), np.linalg.norm(v))
 
 
 def test_weyl_det_signs():
     for fam, rank in [("A", 2), ("B", 2), ("C", 3), ("D", 4)]:
         rs = build_root_system(fam, rank)
-        dets = [w.det_sign for w in enumerate_weyl(rs)]
+        dets = enumerate_weyl(rs).dets.tolist()
         assert set(dets) == {-1, 1}
         assert sum(dets) == 0  # equal split between even and odd elements
 
 
 def test_d_family_even_sign_flips_only():
     rs = build_root_system("D", 4)
-    for w in enumerate_weyl(rs):
-        assert np.prod(w.signs) == 1
+    for signs in enumerate_weyl(rs).signs:
+        assert np.prod(signs) == 1
+
+
+def _itertools_weyl(family, dim):
+    """(perms, signs, dets) of W, permutation-major, by brute force."""
+    if family == "A":
+        patterns = [(1,) * dim]
+    else:
+        patterns = [p for p in itertools.product((1, -1), repeat=dim)
+                    if family != "D" or np.prod(p) == 1]
+    perms, signs, dets = [], [], []
+    for perm in itertools.permutations(range(dim)):
+        inversions = sum(perm[i] > perm[j] for i in range(dim) for j in range(i + 1, dim))
+        for pattern in patterns:
+            perms.append(perm)
+            signs.append(pattern)
+            dets.append((-1) ** inversions * np.prod(pattern))
+    return np.array(perms), np.array(signs, dtype=float), np.array(dets, dtype=float)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+    ("C", 3), ("C", 4), ("D", 4), ("D", 5),
+])
+def test_weyl_group_arrays_match_itertools(family, rank):
+    rs = build_root_system(family, rank)
+    weyl = enumerate_weyl(rs)
+    assert enumerate_weyl(rs) is weyl
+    for got, ref in zip((weyl.perms, weyl.signs, weyl.dets),
+                        _itertools_weyl(family, rs.ambient_dim)):
+        assert got.dtype.kind == ref.dtype.kind
+        assert np.array_equal(got, ref)
+        assert not got.flags.writeable
+    v = np.random.default_rng(5).standard_normal((2, 3, rs.ambient_dim))
+    images = weyl.images(v)
+    assert images.shape == (2, 3, rs.weyl_order, rs.ambient_dim)
+    for k in range(rs.weyl_order):
+        assert np.array_equal(images[..., k, :], weyl.signs[k] * v[..., weyl.perms[k]])
+
+
+def test_weyl_images_reject_wrong_dimension():
+    weyl = enumerate_weyl(build_root_system("B", 3))
+    for v in (np.zeros(2), np.zeros(4), np.zeros((5, 2)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="3-vectors"):
+            weyl.images(v)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("C", 3), ("D", 4)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_chamber_project_rejects_non_finite(family, rank, bad):
+    rs = build_root_system(family, rank)
+    v = np.zeros(rs.ambient_dim)
+    v[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        chamber_project(rs, v)
 
 
 def test_chamber_project_a_family():
@@ -133,7 +189,7 @@ def test_chamber_project_is_weyl_orbit_representative(family, rank):
             v -= v.mean()
         out = chamber_project(rs, v)
         assert in_chamber(rs, out, tol=1e-9)
-        orbit = [apply_weyl(w, v) for w in weyl]
+        orbit = weyl.images(v)
         assert min(np.linalg.norm(out - o) for o in orbit) < 1e-12
         in_c = [o for o in orbit if in_chamber(rs, o, tol=1e-12)]
         for o in in_c:
@@ -150,13 +206,15 @@ def test_in_chamber():
 
 
 def test_alt_polynomial_antisymmetry():
+    """pi(w.v) = det w * pi(v), with pi(v) the product of <alpha, v>."""
     rng = np.random.default_rng(3)
     for fam, rank in [("A", 2), ("B", 2), ("D", 4)]:
         rs = build_root_system(fam, rank)
         v = rng.standard_normal(rs.ambient_dim)
-        pv = alt_polynomial(rs, v)
-        for w in enumerate_weyl(rs)[:10]:
-            assert np.isclose(alt_polynomial(rs, apply_weyl(w, v)), w.det_sign * pv)
+        weyl = enumerate_weyl(rs)
+        pv = np.prod(rs.positive_roots @ v)
+        for wv, det in zip(weyl.images(v), weyl.dets):
+            assert np.isclose(np.prod(rs.positive_roots @ wv), det * pv)
 
 
 def test_min_root_pairing_zero_on_walls():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from chamberwalk import special
 from chamberwalk.kernels import haar_unitary_batch
 from chamberwalk.roots import (
-    apply_weyl,
     build_root_system,
     chamber_project,
     enumerate_weyl,
@@ -63,8 +62,8 @@ def test_semicharacter_weyl_invariance():
     rs = build_root_system("B", 2)
     x = np.array([0.7, 0.3])
     val = semicharacter(rs, x)
-    for w in enumerate_weyl(rs):
-        assert np.isclose(semicharacter(rs, apply_weyl(w, x)), val)
+    for wx in enumerate_weyl(rs).images(x):
+        assert np.isclose(semicharacter(rs, wx), val)
 
 
 def test_semicharacter_at_zero_and_large_argument():
@@ -89,9 +88,9 @@ def test_weyl_denominator_identity():
         x = rng.standard_normal(rs.ambient_dim) * 0.5
         if fam == "A":
             x -= x.mean()
+        weyl = enumerate_weyl(rs)
         lhs = sum(
-            w.det_sign * math.exp(float(rs.rho @ apply_weyl(w, x)))
-            for w in enumerate_weyl(rs)
+            det * math.exp(float(rs.rho @ wx)) for wx, det in zip(weyl.images(x), weyl.dets)
         )
         rhs = 1.0
         for alpha in rs.positive_roots:
@@ -160,9 +159,10 @@ def test_psi_weyl_invariance_in_lambda_and_x():
     lam = np.array([0.9, -0.2, -0.7])
     x = np.array([1.1, 0.2, -1.3])
     ref = spherical_psi(rs, lam, x).value
-    for w in enumerate_weyl(rs):
-        assert abs(spherical_psi(rs, apply_weyl(w, lam), x).value - ref) < 1e-12
-        assert abs(spherical_psi(rs, lam, apply_weyl(w, x)).value - ref) < 1e-12
+    weyl = enumerate_weyl(rs)
+    for wlam, wx in zip(weyl.images(lam), weyl.images(x)):
+        assert abs(spherical_psi(rs, wlam, x).value - ref) < 1e-12
+        assert abs(spherical_psi(rs, lam, wx).value - ref) < 1e-12
 
 
 def test_bc_spherical_coincidence():
@@ -263,6 +263,14 @@ def test_m1_mc_oracle():
         est, se = m1_mc(rs, x, 200_000, rng)
         closed = m1_closed(rs, x)
         assert np.all(np.abs(est - closed) <= 4.0 * se)
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_m1_mc_rejects_sample_size_below_one(n):
+    rs = build_root_system("A", 2)
+    for x in ([1.0, 0.0, -1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="sample size n must be at least 1"):
+            m1_mc(rs, x, n, substream(0, 0))
 
 
 def test_m1_mc_rejects_family_c():
@@ -407,10 +415,12 @@ def _oracle_psi_phi(rs, lam, x, dps=60):
 
         num = mpmath.mpc(0)
         den = mpmath.mpf(0)
-        for w in enumerate_weyl(rs):
-            wx = [w.signs[i] * x[w.perm[i]] for i in range(len(x))]
-            num += w.det_sign * mpmath.exp(1j * dot(wx, lam))
-            den += w.det_sign * mpmath.exp(dot(wx, rho))
+        weyl = enumerate_weyl(rs)
+        for perm, signs, det in zip(weyl.perms.tolist(), weyl.signs.tolist(),
+                                    weyl.dets.tolist()):
+            wx = [signs[i] * x[perm[i]] for i in range(len(x))]
+            num += det * mpmath.exp(1j * dot(wx, lam))
+            den += det * mpmath.exp(dot(wx, rho))
 
         def pi(v):
             return mpmath.fprod(dot(a, v) for a in roots)
