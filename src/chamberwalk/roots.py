@@ -162,15 +162,15 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     return _enumerate_weyl_cached(rs.family, rs.rank)
 
 
-def _check_vec(rs: RootSystem, v, dtype=float) -> np.ndarray:
-    """``v`` as a finite array of shape (ambient_dim,) and the given dtype."""
+def _check_vec(rs: RootSystem, v, dtype=float, rows: bool = False) -> np.ndarray:
+    """``v`` as a finite array of the given dtype and shape (ambient_dim,),
+    or (n, ambient_dim) with ``rows``."""
     v = np.asarray(v, dtype=dtype)
-    if v.shape != (rs.ambient_dim,):
-        raise ValueError(
-            f"expected vector of length {rs.ambient_dim}, got shape {v.shape}"
-        )
+    what = "rows have" if rows else "vector has"
+    if v.ndim != 1 + rows or v.shape[-1] != rs.ambient_dim:
+        raise ValueError(f"{what} shape {v.shape}, expected length {rs.ambient_dim}")
     if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
+        raise ValueError(f"{what} non-finite entries")
     return v
 
 
@@ -198,8 +198,9 @@ def chamber_project(rs: RootSystem, v) -> np.ndarray:
 
 
 def in_chamber(rs: RootSystem, x, tol: float = 1e-12) -> bool:
+    """Whether ``x`` is a finite point of the closed chamber, within ``tol``."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (rs.ambient_dim,):
+    if x.shape != (rs.ambient_dim,) or not np.all(np.isfinite(x)):
         return False
     d = np.diff(x)
     if np.any(d > tol):

@@ -205,6 +205,19 @@ def test_in_chamber():
     assert not in_chamber(rd, np.array([3.0, 2.0, -1.0, 0.5]))
 
 
+@pytest.mark.parametrize("family,point", [("A", [1.0, 0.0, -1.0]), ("B", [2.0, 1.0]),
+                                          ("C", [3.0, 1.0, 0.5]), ("D", [3.0, 2.0, 1.0, 0.5])])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_in_chamber_rejects_non_finite(family, point, bad):
+    # every comparison with NaN is False, so no coordinate test alone catches it
+    rs = build_root_system(family, len(point) - (family == "A"))
+    assert in_chamber(rs, point)
+    for i in range(len(point)):
+        x = np.array(point)
+        x[i] = bad
+        assert not in_chamber(rs, x), (x, i)
+
+
 def test_alt_polynomial_antisymmetry():
     """pi(w.v) = det w * pi(v), with pi(v) the product of <alpha, v>."""
     rng = np.random.default_rng(3)

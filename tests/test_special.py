@@ -17,6 +17,7 @@ from chamberwalk.roots import (
 )
 from chamberwalk.special import (
     log_semicharacter,
+    log_semicharacter_rows,
     m1_closed,
     m1_closed_rows,
     m1_expectation,
@@ -201,6 +202,18 @@ def test_lambda_zero_is_exact():
     assert sv.value == 1.0 + 0.0j
     ref = spherical_psi(rs, np.array([1e-4, -1e-4]), np.array([1.0, -1.0]))
     assert abs(sv.value - ref.value) < 1e-6
+
+
+def test_phi_at_lambda_zero_is_the_inverse_semicharacter():
+    # psi_0 == 1, so phi_0 = 1 / semicharacter, the limit of phi_lambda as lambda -> 0
+    # (rank <= 2: at small lambda the sums cancel, more digits the more roots)
+    for fam, rank in [("A", 1), ("A", 2), ("B", 2)]:
+        rs = build_root_system(fam, rank)
+        x = chamber_project(rs, _centered(rs, np.linspace(1.0, -0.5, rs.ambient_dim)))
+        sv = spherical_phi(rs, np.zeros(rs.ambient_dim), x)
+        assert sv.value == math.exp(-log_semicharacter(rs, x))
+        near = spherical_phi(rs, 1e-2 * _centered(rs, np.arange(rs.ambient_dim, 0, -1.0)), x)
+        assert abs(sv.value - near.value) < 0.05 * sv.value.real
 
 
 def test_lambda_wall_regularization():
@@ -394,6 +407,18 @@ def test_rows_cross_the_default_chunk_boundary():
                                [m1_closed(rs, xs[i]) for i in near], rtol=1e-14, atol=0)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pairing_sums_left_to_right(dtype):
+    # the kernel's bits rest on this order, and its bounds on a C-ordered result
+    rng = np.random.default_rng(36)
+    weyl = enumerate_weyl(build_root_system("D", 4))
+    wx = weyl.images(rng.standard_normal((5, 4)).astype(dtype) * (1 + 1j * (dtype is complex)))
+    for v in (rng.standard_normal(4).astype(complex), rng.standard_normal((5, 1, 4)) + 1j):
+        z = special._pairing(wx, v)
+        ref = np.add.accumulate(wx * (v if v.imag.any() else v.real), axis=2)[..., -1]
+        assert np.array_equal(z, ref) and z.flags.c_contiguous
+
+
 def test_rows_reject_bad_shapes():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
@@ -402,11 +427,22 @@ def test_rows_reject_bad_shapes():
         m1_closed_rows(rs, np.zeros((4, 2)))
 
 
-def _oracle_psi_phi(rs, lam, x, dps=60):
-    """psi and phi from their alternating sums at ``dps`` digits."""
+def _oracle(rs, lam, x, dps=60, offset=None):
+    """psi, phi and m1 from their alternating sums at ``dps`` digits.
+
+    With ``offset``, x and lam first move by that much in a generic
+    direction, which takes a wall point off every wall: at 700 digits an
+    offset of 1e-80 leaves the sums hundreds of digits to cancel.
+    """
     with mpmath.workdps(dps):
         lam = [mpmath.mpf(float(v)) for v in lam]
         x = [mpmath.mpf(float(v)) for v in x]
+        if offset is not None:
+            gen = [mpmath.sqrt(p) for p in (2, 3, 5, 7, 11)[: len(x)]]
+            if rs.family == "A":
+                gen = [g - mpmath.fsum(gen) / len(gen) for g in gen]
+            x = [v + mpmath.mpf(offset) * g for v, g in zip(x, gen)]
+            lam = [v + mpmath.mpf(offset) * g * g for v, g in zip(lam, gen)]
         rho = [mpmath.mpf(float(v)) for v in rs.rho]
         roots = [[mpmath.mpf(float(v)) for v in a] for a in rs.positive_roots]
 
@@ -415,12 +451,15 @@ def _oracle_psi_phi(rs, lam, x, dps=60):
 
         num = mpmath.mpc(0)
         den = mpmath.mpf(0)
+        moment = [mpmath.mpf(0)] * len(x)
         weyl = enumerate_weyl(rs)
         for perm, signs, det in zip(weyl.perms.tolist(), weyl.signs.tolist(),
                                     weyl.dets.tolist()):
             wx = [signs[i] * x[perm[i]] for i in range(len(x))]
             num += det * mpmath.exp(1j * dot(wx, lam))
-            den += det * mpmath.exp(dot(wx, rho))
+            term = det * mpmath.exp(dot(wx, rho))
+            den += term
+            moment = [m + term * v for m, v in zip(moment, wx)]
 
         def pi(v):
             return mpmath.fprod(dot(a, v) for a in roots)
@@ -428,7 +467,9 @@ def _oracle_psi_phi(rs, lam, x, dps=60):
         pi_ilam = mpmath.fprod(1j * dot(a, lam) for a in roots)
         psi = pi([r / 2 for r in rho]) * num / (pi(x) * pi_ilam)
         phi = pi(rho) * num / (pi_ilam * den)
-        return complex(psi), complex(phi)
+        shift = [mpmath.fsum(a[i] / dot(a, rho) for a in roots) for i in range(len(x))]
+        m1 = [m / den - s for m, s in zip(moment, shift)]
+        return complex(psi), complex(phi), np.array([float(v) for v in m1])
 
 
 #: a regular D4 point far from every wall where the double-precision sums
@@ -454,7 +495,7 @@ def _oracle_points():
 
 def test_est_abs_error_bounds_the_mpmath_oracle():
     for rs, x, lam in _oracle_points():
-        psi_ref, phi_ref = _oracle_psi_phi(rs, lam, x)
+        psi_ref, phi_ref, _ = _oracle(rs, lam, x)
         for fn, rows_fn, ref in ((spherical_psi, spherical_psi_rows, psi_ref),
                                  (spherical_phi, spherical_phi_rows, phi_ref)):
             sv = fn(rs, lam, x)
@@ -511,13 +552,78 @@ def test_m1_rows_stay_in_chamber_and_contract(data):
         assert np.linalg.norm(m1) <= np.linalg.norm(x) + 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="the alternating sums cancel below double "
-                   "precision here; exact wall limits and small-scale series are open")
-@pytest.mark.parametrize("family, rank, x", [
-    ("A", 2, [1.0, 1.0 - 3e-8, -2.0 + 3e-8]),  # 3e-8 from a wall, above EPS_REG
-    ("D", 4, [0.04, 0.03, 0.02, 0.01]),         # regular but small
-])
-def test_m1_loses_the_chamber_near_walls_and_at_small_scale(family, rank, x):
+#: (family, rank, x, lambda): x on walls of multiplicity 1-3, each with a
+#: regular lambda, and the A2 point 3e-8 from a wall
+X_WALLS = [
+    ("A", 3, [1.0, 1.0, 0.0, -2.0], [0.9, 0.3, -0.2, -1.0]),
+    ("A", 3, [1.2, 1.2, -1.2, -1.2], [0.9, 0.3, -0.2, -1.0]),
+    ("A", 3, [1.0, 1.0, 1.0, -3.0], [0.9, 0.3, -0.2, -1.0]),
+    ("B", 3, [1.2, 0.5, 0.0], [1.0, 0.7, 0.45]),
+    ("B", 3, [1.0, 1.0, 0.0], [1.0, 0.7, 0.45]),
+    ("C", 3, [1.0, 1.0, 0.4], [1.0, 0.7, 0.45]),
+    ("C", 3, [0.8, 0.8, 0.8], [1.0, 0.7, 0.45]),
+    ("D", 4, [1.0, 1.0, 0.5, 0.0], [1.1, 0.8, 0.5, 0.3]),
+    ("D", 4, [1.0, 0.5, 0.5, 0.5], [1.1, 0.8, 0.5, 0.3]),
+    ("A", 2, [1.0, 1.0 - 3e-8, -2.0 + 3e-8], [0.7, 0.1, -0.8]),
+]
+#: lambda on walls of multiplicity 1-3, each with a regular x
+LAMBDA_WALLS = [
+    ("A", 3, [1.1, 0.4, -0.3, -1.2], [1.0, 1.0, -1.0, -1.0]),
+    ("B", 3, [1.2, 0.5, 0.3], [1.0, 1.0, 0.45]),
+    ("C", 3, [1.2, 0.5, 0.3], [0.7, 0.7, 0.7]),
+    ("D", 4, [1.1, 0.8, 0.5, 0.3], [1.0, 1.0, 0.5, 0.2]),
+]
+#: x and lambda both on walls
+BOTH_WALLS = [
+    ("A", 3, [1.0, 1.0, 1.0, -3.0], [1.0, 1.0, -1.0, -1.0]),
+    ("B", 3, [1.0, 1.0, 0.0], [1.0, 0.7, 0.0]),
+    ("D", 4, [1.0, 0.5, 0.5, 0.5], [1.0, 1.0, 0.5, 0.2]),
+]
+
+
+@pytest.mark.parametrize("family, rank, x, lam", X_WALLS + LAMBDA_WALLS + BOTH_WALLS)
+def test_contour_rule_meets_the_mpmath_oracle_at_walls(family, rank, x, lam):
+    rs = build_root_system(family, rank)
+    x, lam = np.array(x), np.array(lam)
+    psi_ref, phi_ref, m1_ref = _oracle(rs, lam, x, dps=700, offset="1e-80")
+    both = min_root_pairing(rs, x) < special.EPS_REG and min_root_pairing(rs, lam) == 0.0
+    for fn, ref in ((spherical_psi, psi_ref), (spherical_phi, phi_ref)):
+        sv = fn(rs, lam, x)
+        assert sv.regularized
+        err = abs(sv.value - ref)
+        assert err <= sv.est_abs_error, (fn.__name__, err, sv.est_abs_error)
+        if not both:
+            assert err <= 1e-12, (fn.__name__, err)
+    if not both:
+        assert np.abs(m1_closed(rs, x) - m1_ref).max() <= 1e-11
+
+
+@pytest.mark.parametrize("family, rank, x", [case[:3] for case in X_WALLS])
+def test_m1_stays_in_chamber_at_and_near_walls(family, rank, x):
     rs = build_root_system(family, rank)
     m1 = m1_closed(rs, np.array(x))
     assert in_chamber(rs, m1, tol=1e-9)
+    assert np.linalg.norm(m1) <= np.linalg.norm(x) + 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="at small scale in rank >= 3 the alternating "
+                   "sums cancel below double precision; small-scale series are open")
+def test_m1_loses_the_chamber_at_small_scale():
+    rs = build_root_system("D", 4)
+    m1 = m1_closed(rs, np.array([0.04, 0.03, 0.02, 0.01]))
+    assert in_chamber(rs, m1, tol=1e-9)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4),
+                                          ("C", 3), ("C", 4), ("D", 4)])
+def test_psi_at_minus_i_rho_is_the_semicharacter(family, rank):
+    """The Weyl denominator identity that phi = psi / semicharacter rests on."""
+    rs = build_root_system(family, rank)
+    rng = np.random.default_rng(35)
+    xs = _chamber_rows(rng.standard_normal((2000, rs.ambient_dim)), rs, min_gap=0.05)[:200]
+    assert len(xs) == 200
+    rows = spherical_psi_rows(rs, -1j * rs.rho, xs)
+    expected = np.exp(log_semicharacter_rows(rs, xs))
+    assert not rows.regularized.any()
+    err = np.abs(rows.value - expected)
+    assert np.all(err <= rows.est_abs_error + 4 * special._EPS * expected)
