@@ -46,13 +46,15 @@ def _manifest(args: argparse.Namespace) -> dict:
             "seed": getattr(args, "seed", None), "version": __version__}
 
 
-def _parse_vector(text: str, name: str) -> np.ndarray:
+def _parse_vector(text: str | None, name: str, size: int) -> np.ndarray:
+    if text is None:
+        raise SystemExit(f"error: {name} is required")
     try:
         v = np.asarray(json.loads(text), dtype=float)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise SystemExit(f"error: {name} must be a JSON array of numbers: {exc}")
-    if v.ndim != 1 or v.size == 0:
-        raise SystemExit(f"error: {name} must be a one-dimensional, nonempty vector")
+    if v.shape != (size,):
+        raise SystemExit(f"error: {name} must hold {size} numbers, got shape {v.shape}")
     return v
 
 
@@ -81,15 +83,9 @@ def cmd_rho(args) -> int:
 
 def cmd_eval(args) -> int:
     rs = build_root_system(args.family, args.rank)
-    x = _parse_vector(args.x, "--x")
-    if x.size != rs.ambient_dim:
-        raise SystemExit(f"error: --x must have {rs.ambient_dim} coordinates")
+    x = _parse_vector(args.x, "--x", rs.ambient_dim)
     if args.kind in ("psi", "phi"):
-        if args.lam is None:
-            raise SystemExit("error: psi/phi require --lambda")
-        lam = _parse_vector(args.lam, "--lambda")
-        if lam.size != rs.ambient_dim:
-            raise SystemExit(f"error: --lambda must have {rs.ambient_dim} coordinates")
+        lam = _parse_vector(args.lam, "--lambda", rs.ambient_dim)
         fn = spherical_psi if args.kind == "psi" else spherical_phi
         sv = fn(rs, lam, x)
         payload = {"value_re": sv.value.real, "value_im": sv.value.imag,
@@ -104,10 +100,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    x = _parse_vector(args.x, "--x")
-    y = _parse_vector(args.y, "--y")
-    if x.size != args.d or y.size != args.d:
-        raise SystemExit(f"error: --x and --y must have d={args.d} coordinates")
+    x = _parse_vector(args.x, "--x", args.d)
+    y = _parse_vector(args.y, "--y", args.d)
     rng = walk.substream(args.seed, 0)
     sampler = (convolve.conv_hermitian_cloud if args.mode == "hermitian"
                else convolve.conv_group_cloud)
@@ -127,16 +121,14 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    x = _parse_vector(args.x, "--x")
-    y = _parse_vector(args.y, "--y")
-    if x.size != args.d or y.size != args.d:
-        raise SystemExit(f"error: --x and --y must have d={args.d} coordinates")
+    x = _parse_vector(args.x, "--x", args.d)
+    y = _parse_vector(args.y, "--y", args.d)
     rng = walk.substream(args.seed, 0)
     manifest = _manifest(args)
     if args.which == "deformation":
         f = "bump"
         if args.lam is not None:
-            f = ("phi", _parse_vector(args.lam, "--lambda"))
+            f = ("phi", _parse_vector(args.lam, "--lambda", args.d))
         res = convolve.deformation_check(args.d, x, y, f, args.n, rng)
         payload = {"which": args.which, "pass": res.passed,
                    "lhs_re": res.lhs.real, "lhs_im": res.lhs.imag,
@@ -154,9 +146,7 @@ def cmd_check(args) -> int:
         passed = rep.passed
         payload = {"which": args.which, **json.loads(rep.to_json())}
     else:  # transform-homomorphism
-        if args.lam is None:
-            raise SystemExit("error: transform-homomorphism requires --lambda")
-        lam = _parse_vector(args.lam, "--lambda")
+        lam = _parse_vector(args.lam, "--lambda", args.d)
         rs = build_root_system("A", args.d - 1)
         cloud = convolve.conv_hermitian_cloud(args.d, x, y, args.n, rng)
         measure = convolve.EmpiricalMeasure.uniform(cloud)
@@ -177,9 +167,7 @@ def cmd_walk(args) -> int:
     else:
         if args.x is None:
             raise SystemExit("error: walk needs --config or --x")
-        x = _parse_vector(args.x, "--x")
-        if x.size != args.d:
-            raise SystemExit(f"error: --x must have d={args.d} coordinates")
+        x = _parse_vector(args.x, "--x", args.d)
         cfg = WalkConfig(d=args.d, atoms=x[None, :], weights=np.array([1.0]),
                          n_steps=args.n, n_replicas=args.replicas,
                          seed=args.seed)

@@ -23,7 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .roots import RootSystem, build_root_system, in_chamber
+from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_weights,
+                    build_root_system)
 from .special import (
     log_semicharacter,
     log_semicharacter_rows,
@@ -45,24 +46,21 @@ _CSV_BLOCK = 4096
 class EmpiricalMeasure:
     """Weighted chamber points: a probability measure on the chamber.
 
-    Atoms and weights must be finite, and the weights nonnegative with sum
-    within 1e-12 of 1; anything else raises ValueError.
+    Atoms (n, d) and weights (n,) are arrays of real numbers, not bool,
+    stored as floats.  Atoms must be finite, and the weights nonnegative with
+    sum within 1e-12 of 1; anything else raises ValueError.
     """
 
     atoms: np.ndarray    # (n, d)
     weights: np.ndarray  # (n,)
 
     def __post_init__(self):
-        if self.atoms.ndim != 2 or self.weights.ndim != 1:
-            raise ValueError("atoms must have shape (n, d) and weights shape (n,)")
+        object.__setattr__(self, "atoms", _check_real(self.atoms, 2, "atoms"))
+        object.__setattr__(self, "weights", _check_weights(self.weights))
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise ValueError("one weight per atom required")
-        if not (np.all(np.isfinite(self.atoms)) and np.all(np.isfinite(self.weights))):
-            raise ValueError("atoms and weights must be finite")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        if not np.all(np.isfinite(self.atoms)):
+            raise ValueError("atoms must be finite")
 
     @classmethod
     def uniform(cls, atoms) -> "EmpiricalMeasure":
@@ -129,25 +127,15 @@ class CheckResult:
         return abs(self.lhs - self.rhs) <= 3.0 * (self.stderr_lhs + self.stderr_rhs)
 
 
-def _check_pair(d, x, y, n):
-    if n < 1:
-        raise ValueError(f"sample size n must be at least 1, got {n}")
-    rs = build_root_system("A", d - 1)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for v in (x, y):
-        if not in_chamber(rs, v, tol=1e-9):
-            raise ValueError(f"{v} is not in the A_{d-1} chamber")
-    return rs, x, y
-
-
 def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
     """n centred rows of ``spectra(x, y, u)`` over Haar U(d) stacks u.
 
     u is drawn in chunks of `_CHUNK`; a zero x or y makes every sample the
     other point, with no draw.
     """
-    _, x, y = _check_pair(d, x, y, n)
+    n = _check_count(n, 1, "sample size n")
+    rs = build_root_system("A", d - 1)
+    x, y = _check_chamber(rs, x, "x"), _check_chamber(rs, y, "y")
     if not y.any():
         return np.tile(x, (n, 1))
     if not x.any():
@@ -207,7 +195,7 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     normalized by the semicharacter values at x and y (weights handled in
     the log domain).
     """
-    rs, x, y = _check_pair(d, x, y, n)
+    rs = build_root_system("A", d - 1)
     fn = _test_function(rs, f)
 
     zg = conv_group_cloud(d, x, y, n, rng)
@@ -225,7 +213,7 @@ def semicharacter_multiplicativity(d: int, x, y, n: int, rng):
 
     Returns (mean, stderr, target) with target = psi(x) psi(y).
     """
-    rs, x, y = _check_pair(d, x, y, n)
+    rs = build_root_system("A", d - 1)
     z = conv_hermitian_cloud(d, x, y, n, rng)
     vals = np.exp(log_semicharacter_rows(rs, z))
     mean, se = _mean_stderr(vals)
@@ -252,8 +240,7 @@ def support_equivalence(d: int, x, y, n: int, rng) -> SupportReport:
     corners (x, y with repeated coordinates) the two densities can vanish
     at different rates and the comparison needs much larger n.
     """
-    if n < 100:
-        raise ValueError("n >= 100 required for a meaningful support estimate")
+    n = _check_count(n, 100, "sample size n")
     ch = conv_hermitian_cloud(d, x, y, n, rng)
     cg = conv_group_cloud(d, x, y, n, rng)
     h = _hausdorff(ch, cg)

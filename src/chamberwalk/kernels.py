@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .roots import RootSystem
+from .roots import RootSystem, _check_count
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -44,8 +44,11 @@ def _positive_qr_q(z: np.ndarray) -> np.ndarray:
             for _ in range(2):
                 c = np.einsum("nik,ni->nk", done, v.conj()).conj()
                 v -= np.einsum("nk,nik->ni", c, done)
-        v /= np.sqrt(np.einsum("ni,ni->n", v.real, v.real)
-                     + np.einsum("ni,ni->n", v.imag, v.imag))[:, None]
+        if np.iscomplexobj(v):
+            v /= np.sqrt(np.einsum("ni,ni->n", v.real, v.real)
+                         + np.einsum("ni,ni->n", v.imag, v.imag))[:, None]
+        else:  # no imaginary part to sum
+            v /= np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
     return z
 
 
@@ -59,8 +62,7 @@ def haar_unitary_batch(d: int, n: int, rng) -> np.ndarray:
     U, so there is no SU(d) correction; `sample_biinvariant` makes det Z = 1
     on its product instead.
     """
-    if d < 2:
-        raise ValueError("d >= 2 required")
+    d = _check_count(d, 2, "d")
     z = np.empty((n, d, d), dtype=complex)
     z.real = rng.standard_normal((n, d, d))
     z.imag = rng.standard_normal((n, d, d))
@@ -73,8 +75,7 @@ def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
     The positive-R Q factor of a real Ginibre stack, by `_positive_qr_q`, is
     Haar in O(m); negating the last column where det Q = -1 maps it to SO(m).
     """
-    if m < 2:
-        raise ValueError("m >= 2 required")
+    m = _check_count(m, 2, "m")
     q = _positive_qr_q(rng.standard_normal((n, m, m)))
     flip = np.linalg.det(q) < 0
     q[flip, :, -1] = -q[flip, :, -1]

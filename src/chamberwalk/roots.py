@@ -3,7 +3,10 @@
 Everything downstream (spherical functions, samplers, walks) consumes the
 objects built here: the positive roots, the vector rho (sum of the positive
 roots), the Weyl group W as cached arrays of signed permutations, the
-closed chamber C, and the one validator of vector arguments.
+closed chamber C, and one private validator per kind of input, each raising
+ValueError that names the input: `_check_vec` (ambient vectors and rows),
+`_check_chamber` (chamber points), `_check_real` (arrays of real numbers),
+`_check_weights` (probability vectors) and `_check_count` (integer counts).
 
 Conventions: vectors live in R^ambient_dim with the standard dot product.
 For family A the ambient dimension is rank+1 and all roots and chamber
@@ -15,6 +18,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,16 +167,61 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
     return _enumerate_weyl_cached(rs.family, rs.rank)
 
 
-def _check_vec(rs: RootSystem, v, dtype=float, rows: bool = False) -> np.ndarray:
+def _check_vec(rs: RootSystem, v, dtype=float, rows: bool = False, name=None) -> np.ndarray:
     """``v`` as a finite array of the given dtype and shape (ambient_dim,),
     or (n, ambient_dim) with ``rows``."""
     v = np.asarray(v, dtype=dtype)
-    what = "rows have" if rows else "vector has"
+    what = f"{name} has" if name else "rows have" if rows else "vector has"
     if v.ndim != 1 + rows or v.shape[-1] != rs.ambient_dim:
         raise ValueError(f"{what} shape {v.shape}, expected length {rs.ambient_dim}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} non-finite entries")
     return v
+
+
+def _check_chamber(rs: RootSystem, v, name: str, rows: bool = False) -> np.ndarray:
+    """`_check_vec`, and each point within 1e-9 of the closed chamber."""
+    v = _check_vec(rs, v, rows=rows, name=name)
+    for p in np.atleast_2d(v):
+        if not in_chamber(rs, p, tol=1e-9):
+            raise ValueError(f"{name} {p} is not in the {rs.family}_{rs.rank} chamber")
+    return v
+
+
+def _check_real(v, ndim: int, name: str) -> np.ndarray:
+    """``v`` as a float array with ``ndim`` axes.  Every entry must be a
+    numbers.Real: bool, complex, strings and other types raise ValueError."""
+    a = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+    types = {type(e) for e in a.flat} if a.dtype == object else {a.dtype.type}
+    real = all(issubclass(t, numbers.Real) and t is not bool for t in types)
+    if a.ndim != ndim or not real:
+        kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
+        raise ValueError(f"{name} must be {kind}, real and not bool; "
+                         f"got shape {a.shape}: {reprlib.repr(v)}")
+    try:
+        return np.asarray(a, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} has an entry too large for a float") from None
+
+
+def _check_weights(w, name: str = "weights") -> np.ndarray:
+    """``w`` as a float probability vector: 1-d, real, finite, nonnegative
+    and summing to 1 within 1e-12."""
+    w = _check_real(w, 1, name)
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails both
+        raise ValueError(f"{name} must be a probability vector: finite, nonnegative "
+                         f"entries that sum to 1 within 1e-12; got {reprlib.repr(w)}")
+    return w
+
+
+def _check_count(n, minimum: int, name: str) -> int:
+    """``n`` as an int >= ``minimum``; an integral float counts, bool does not."""
+    whole = isinstance(n, (float, np.floating)) and float(n).is_integer()
+    if not (whole or isinstance(n, numbers.Integral)) or isinstance(n, bool):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {n}")
+    return int(n)
 
 
 def chamber_project(rs: RootSystem, v) -> np.ndarray:

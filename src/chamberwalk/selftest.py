@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convolve, kernels, walk
+from . import convolve, kernels, roots, walk
 from .roots import build_root_system, chamber_project, in_chamber, min_root_pairing
 from .special import (
     m1_closed,
@@ -240,14 +240,12 @@ def check_support(p, rng) -> CheckOutcome:
                                      float(cg.min()), float(cg.max())]})
 
 
-def _lln_tolerance(atoms, weights, n_steps, rng) -> float:
+def _lln_tolerance(cfg, rng) -> float:
     # CLT-scale slack around the a.s. limit: max(0.05, 5 sigma / sqrt(n)),
     # sigma from 200 single steps; q of one step U e^x V is its atom x
-    cfg_atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    idx = rng.choice(len(weights), size=200, p=np.asarray(weights, dtype=float))
-    singles = cfg_atoms[idx]
-    sigma = float(np.sqrt(np.mean(np.var(singles, axis=0))))
-    return max(0.05, 5.0 * sigma / math.sqrt(n_steps))
+    idx = rng.choice(len(cfg.weights), size=200, p=cfg.weights)
+    sigma = float(np.sqrt(np.mean(np.var(cfg.atoms[idx], axis=0))))
+    return max(0.05, 5.0 * sigma / math.sqrt(cfg.n_steps))
 
 
 def check_strong_law(p, rng, seed: int = 0) -> tuple[CheckOutcome, walk.WalkReport]:
@@ -258,11 +256,10 @@ def check_strong_law(p, rng, seed: int = 0) -> tuple[CheckOutcome, walk.WalkRepo
     ok = True
     detail = []
     for i, (d, atoms, weights) in enumerate(cases):
-        cfg = WalkConfig(d=d, atoms=np.array(atoms), weights=np.array(weights),
-                         n_steps=p["lln_steps"], n_replicas=p["lln_reps"],
-                         seed=seed + i)
+        cfg = WalkConfig(d=d, atoms=atoms, weights=weights, n_steps=p["lln_steps"],
+                         n_replicas=p["lln_reps"], seed=seed + i)
         run = walk.run_group_walk(cfg)
-        tol = _lln_tolerance(atoms, weights, p["lln_steps"], rng)
+        tol = _lln_tolerance(cfg, rng)
         ok &= run.final_error <= tol
         detail.append({"d": d, "final_errors": run.final_errors, "tol": tol,
                        "limit": run.limit_c.tolist()})
@@ -288,7 +285,7 @@ def check_qr_exactness(p, rng) -> CheckOutcome:
 
 
 def check_crosscheck_law(p, rng, seed: int = 0) -> CheckOutcome:
-    cfg = WalkConfig(d=2, atoms=np.array([[0.5, -0.5]]), weights=np.array([1.0]),
+    cfg = WalkConfig(d=2, atoms=[[0.5, -0.5]], weights=[1.0],
                      n_steps=p["ks_steps"], n_replicas=p["ks_reps"], seed=seed)
     rep = walk.euclidean_walk_crosscheck(cfg)
     return CheckOutcome("crosscheck_law", rep.passed,
@@ -317,6 +314,7 @@ def run_selftest(level: str, seed: int, out_dir) -> tuple[list[CheckOutcome], di
     """Run all checks; write report + artifacts under out_dir; return outcomes."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
+    seed = roots._check_count(seed, 0, "seed")
     p = FAST if level == "fast" else FULL
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -45,7 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .roots import RootSystem, _check_vec, build_root_system, enumerate_weyl
+from .roots import (RootSystem, _check_count, _check_vec, _check_weights, build_root_system,
+                    enumerate_weyl)
 
 #: regularity threshold on min |<alpha, x>|, |<alpha, lambda>|
 EPS_REG = 1e-4
@@ -320,8 +321,7 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
     family C is rejected (use the B<->C spherical-function identity).
     """
     x = _check_vec(rs, x)
-    if n < 1:
-        raise ValueError(f"sample size n must be at least 1, got {n}")
+    n = _check_count(n, 1, "sample size n")
     if rs.family == "C":
         raise ValueError(
             "family C has no matrix orbit realization; its spherical data "
@@ -352,10 +352,8 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
 def m1_expectation(rs: RootSystem, atoms, weights) -> np.ndarray:
     """Integral of m1 against a finite measure sum_i weights_i * delta_atoms_i."""
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-    weights = np.asarray(weights, dtype=float)
+    weights = _check_weights(weights)
     if atoms.shape[0] != weights.shape[0]:
         raise ValueError("one weight per atom required")
-    if np.any(weights < 0) or not abs(weights.sum() - 1.0) <= 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1 within 1e-12")
     live = weights > 0
     return weights[live] @ m1_closed_rows(rs, atoms[live])

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from . import kernels
-from .roots import RootSystem, build_root_system, in_chamber
+from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_weights,
+                    build_root_system)
 from .special import log_semicharacter, m1_expectation
 
 #: two-sample KS coefficient at the 1% level
@@ -45,37 +46,48 @@ _STEP_ENTRIES = 1 << 20
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
-    """The documented substream scheme: spawn_key = (index,) under ``seed``."""
+    """The documented substream scheme: spawn_key = (index,) under ``seed``, both >= 0."""
+    seed, index = _check_count(seed, 0, "seed"), _check_count(index, 0, "index")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 @dataclass(frozen=True)
 class WalkConfig:
+    """A biinvariant walk: step law, horizon, replicas and seed.
+
+    Every field is checked on construction, from Python and JSON alike, and
+    a bad one raises ValueError naming it.  Numbers must be real, not bool;
+    an integral float counts as an integer.  d >= 2.  atoms: a (k, d) array
+    of A_{d-1} chamber points (within 1e-9) of norm at most 5.  weights: a
+    (k,) probability vector, nonnegative with sum within 1e-12 of 1.  Both
+    are stored as floats.  n_steps, n_replicas >= 1.  seed >= 0.
+    r_exponent, the Marcinkiewicz-Zygmund exponent, in [1, 2).
+    """
+
     d: int
-    atoms: np.ndarray      # (k, d) chamber points
-    weights: np.ndarray    # (k,)
+    atoms: np.ndarray
+    weights: np.ndarray
     n_steps: int
     n_replicas: int = 1
     seed: int = 0
     r_exponent: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", np.atleast_2d(np.asarray(self.atoms, dtype=float)))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if self.atoms.shape[1:] != (self.d,) or self.weights.shape != self.atoms.shape[:1]:
+        for name, rule, *args in (("d", _check_count, 2), ("n_steps", _check_count, 1),
+                                  ("n_replicas", _check_count, 1), ("seed", _check_count, 0),
+                                  ("atoms", _check_real, 2), ("weights", _check_weights),
+                                  ("r_exponent", _check_real, 0)):
+            value = rule(getattr(self, name), *args, f"WalkConfig field {name!r}")
+            object.__setattr__(self, name, value)
+        r = float(self.r_exponent)
+        object.__setattr__(self, "r_exponent", r)
+        if not 1.0 <= r < 2.0:
+            raise ValueError(f"WalkConfig field 'r_exponent' must lie in [1, 2), got {r}")
+        if self.atoms.shape[1] != self.d or self.weights.shape != self.atoms.shape[:1]:
             raise ValueError(f"need atoms of shape (k, {self.d}) and k weights")
-        if self.n_steps < 1 or self.n_replicas < 1:
-            raise ValueError("n_steps >= 1 and n_replicas >= 1 required")
-        if not (1.0 <= self.r_exponent < 2.0):
-            raise ValueError("r_exponent must lie in [1, 2)")
-        if not abs(self.weights.sum() - 1.0) <= 1e-12 or np.any(self.weights < 0):
-            raise ValueError("step measure must be a probability vector")
-        rs = build_root_system("A", self.d - 1)
-        for a in self.atoms:
-            if not in_chamber(rs, a, tol=1e-9):
-                raise ValueError(f"atom {a} is not in the A_{self.d-1} chamber")
-            if np.linalg.norm(a) > 5.0:
-                raise ValueError("atom norms are capped at 5 to keep conditioning analyzable")
+        _check_chamber(build_root_system("A", self.d - 1), self.atoms, "atom", rows=True)
+        if np.any(np.linalg.norm(self.atoms, axis=1) > 5.0):
+            raise ValueError("atom norms are capped at 5 to keep conditioning analyzable")
 
     @classmethod
     def from_json(cls, text: str) -> "WalkConfig":
@@ -89,27 +101,7 @@ class WalkConfig:
         missing = [k for k in ("d", "atoms", "weights", "n_steps") if k not in data]
         if missing:
             raise ValueError(f"missing WalkConfig keys: {', '.join(missing)}")
-        for key, value in data.items():
-            depth = _ARRAY_DEPTH.get(key)
-            if depth is None:
-                if not (_is_number_array(value, 0) and float(value).is_integer()):
-                    raise ValueError(f"WalkConfig key {key!r} must be an integer")
-                data[key] = int(value)
-            elif not _is_number_array(value, depth):
-                kind = "a number" if depth == 0 else f"a {depth}-d array of numbers"
-                raise ValueError(f"WalkConfig key {key!r} must be {kind}")
         return cls(**data)
-
-
-#: nesting depth of the number-valued WalkConfig JSON keys; the others are integers
-_ARRAY_DEPTH = {"atoms": 2, "weights": 1, "r_exponent": 0}
-
-
-def _is_number_array(value, depth: int) -> bool:
-    """Whether value is a JSON number nested ``depth`` lists deep."""
-    if depth == 0:
-        return type(value) in (int, float)
-    return isinstance(value, list) and all(_is_number_array(v, depth - 1) for v in value)
 
 
 @dataclass
@@ -283,9 +275,7 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     Returns (matrices (n,d,d), n_proposed).
     """
     rs = build_root_system("A", d - 1)
-    x = np.asarray(x, dtype=float)
-    if not in_chamber(rs, x, tol=1e-9):
-        raise ValueError("x must be a chamber point")
+    x = _check_chamber(rs, x, "x")
     rho_x = float(rs.rho @ x)
     if rho_x > _REJECTION_RHO_X_MAX:
         raise ValueError("<rho, x> too large for rejection sampling (cap 30)")

@@ -194,6 +194,9 @@ _GOOD_CONFIG = {"d": 2, "atoms": [[0.5, -0.5]], "weights": [1.0], "n_steps": 10}
     ({**_GOOD_CONFIG, "r_exponent": "1"}, "'r_exponent' must be a number"),
     ({**_GOOD_CONFIG, "d": 3}, "atoms of shape (k, 3)"),
     ({**_GOOD_CONFIG, "weights": [0.5, 0.5]}, "atoms of shape (k, 2)"),
+    ({**_GOOD_CONFIG, "atoms": [[1, True]]}, "'atoms' must be a 2-d array"),
+    ({**_GOOD_CONFIG, "n_steps": True}, "'n_steps' must be an integer"),
+    ({**_GOOD_CONFIG, "atoms": [[10**400, -0.5]]}, "'atoms' has an entry too large"),
 ])
 def test_walk_malformed_config_exits_2(tmp_path, capsys, config, message):
     cfg_path = tmp_path / "cfg.json"
@@ -239,6 +242,29 @@ def test_selftest_mutation_fails(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "st")])
     capsys.readouterr()
     assert code == 1
+
+
+def test_selftest_refuses_a_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "st"
+    assert main(["selftest", "--seed", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be at least 0, got -1\n", captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convolve", "group", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]", "--seed", "-1"],
+     "error: seed must be at least 0, got -1"),
+    (["walk", "--x", "[0.5,-0.5]", "--n", "10", "--seed", "-1"],
+     "error: WalkConfig field 'seed' must be at least 0, got -1"),
+    (["convolve", "group", "--d", "2", "--x", "[1,0,-1]", "--y", "[1,-1]"],
+     "error: --x must hold 2 numbers, got shape (3,)"),
+    (["eval", "psi", "A", "1", "--x", "[1,-1]", "--lambda", "[[1,-1]]"],
+     "error: --lambda must hold 2 numbers, got shape (1, 2)"),
+])
+def test_bad_command_line_inputs_are_named(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def _read_csv(path):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,45 @@ def test_transform_homomorphism_hermitian_side():
     est, se = spherical_transform_empirical(EmpiricalMeasure.uniform(cloud), lam, "psi", rs)
     target = np.conj(spherical_psi(rs, lam, x).value * spherical_psi(rs, lam, y).value)
     assert abs(est - target) <= 4.0 * se
+
+
+def test_empirical_measure_takes_lists_and_stores_floats():
+    m = EmpiricalMeasure([[0.0, 0.0], [1.0, -1.0]], [1, 0])
+    assert m.atoms.dtype == m.weights.dtype == np.float64
+    text = m.to_csv()
+    assert text == "x1,x2,weight\n0.0,0.0,1.0\n1.0,-1.0,0.0\n"
+    rows = [[float(t) for t in line.split(",")] for line in text.splitlines()[1:]]
+    assert np.array_equal(np.array(rows), np.column_stack([m.atoms, m.weights]))
+
+
+@pytest.mark.parametrize("atoms, weights, named", [
+    ([[0.0, 0.0]], np.array([True]), "weights must be a 1-d array of numbers, real and not bool"),
+    ([[0.0, 0.0]], [True], "weights must be a 1-d array of numbers, real and not bool"),
+    ([[0.0, 0.0]], [1 + 0j], "weights must be a 1-d array of numbers, real and not bool"),
+    ([[0.0, 1j]], [1.0], "atoms must be a 2-d array of numbers, real and not bool"),
+    (np.array([[False, True]]), [1.0], "atoms must be a 2-d array of numbers, real and not bool"),
+    ([[0.0, "0"]], [1.0], "atoms must be a 2-d array of numbers, real and not bool"),
+])
+def test_empirical_measure_refuses_non_real_entries(atoms, weights, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EmpiricalMeasure(atoms, weights)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "10"])
+def test_sample_size_must_be_an_integer(n):
+    rng = substream(1, 17)
+    for cloud_fn in (conv_hermitian_cloud, conv_group_cloud):
+        with pytest.raises(ValueError, match="sample size n must be an integer"):
+            cloud_fn(2, [1.0, -1.0], [0.5, -0.5], n, rng)
+    with pytest.raises(ValueError, match="sample size n must be an integer"):
+        support_equivalence(2, [1.0, -1.0], [0.5, -0.5], n, rng)
+
+
+def test_integral_float_sample_size_draws_as_the_int():
+    for cloud_fn in (conv_hermitian_cloud, conv_group_cloud):
+        a = cloud_fn(2, [1.0, -1.0], [0.5, -0.5], 50.0, substream(1, 18))
+        b = cloud_fn(2, [1.0, -1.0], [0.5, -0.5], 50, substream(1, 18))
+        assert np.array_equal(a, b)
 
 
 def test_measure_weights_must_sum_to_one():

@@ -286,6 +286,13 @@ def test_m1_mc_rejects_sample_size_below_one(n):
             m1_mc(rs, x, n, substream(0, 0))
 
 
+@pytest.mark.parametrize("n", [2.5, True, None])
+def test_m1_mc_rejects_a_non_integer_sample_size(n):
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="sample size n must be an integer"):
+        m1_mc(rs, [1.0, 0.0, -1.0], n, substream(0, 0))
+
+
 def test_m1_mc_rejects_family_c():
     rs = build_root_system("C", 3)
     with pytest.raises(ValueError):
@@ -334,6 +341,18 @@ def test_non_finite_inputs_raise(call, bad):
     # NaN passes every shape and comparison check, so it must be refused by name
     with pytest.raises(ValueError, match="non-finite"):
         call(build_root_system("A", 1), bad)
+
+
+@pytest.mark.parametrize("weights, named", [
+    ([[1.0]], "weights must be a 1-d array of numbers"),
+    ([True], "weights must be a 1-d array of numbers"),
+    ([0.5, 0.5], "one weight per atom required"),
+    ([-0.5, 1.5], "weights must be a probability vector"),
+])
+def test_m1_expectation_names_bad_weights(weights, named):
+    rs = build_root_system("A", 1)
+    with pytest.raises(ValueError, match=named):
+        m1_expectation(rs, [[1, -1]], weights)
 
 
 @pytest.mark.parametrize("weights", [[np.nan], [np.inf], [0.5, np.nan]])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -61,6 +62,58 @@ def test_walk_config_from_json_rejects_unknown_keys():
                          ({"sed": 1, "n_step": 10}, "n_step, sed")):
         with pytest.raises(ValueError, match=named):
             WalkConfig.from_json(json.dumps({**base, **extra}))
+
+
+_GOOD = dict(d=2, atoms=[[0.5, -0.5]], weights=[1.0], n_steps=10)
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({"n_steps": 3.5}, "'n_steps' must be an integer"),
+    ({"n_replicas": 2.5}, "'n_replicas' must be an integer"),
+    ({"seed": 1.5}, "'seed' must be an integer"),
+    ({"seed": -1}, "'seed' must be at least 0"),
+    ({"d": 2.5}, "'d' must be an integer"),
+    ({"d": 1, "atoms": [[0.0]]}, "'d' must be at least 2"),
+    ({"n_steps": True}, "'n_steps' must be an integer"),
+    ({"n_replicas": np.True_}, "'n_replicas' must be an integer"),
+    ({"atoms": [[0.5 + 0j, -0.5]]}, "'atoms' must be a 2-d array"),
+    ({"atoms": np.array([[0.5 + 0j, -0.5]])}, "'atoms' must be a 2-d array"),
+    ({"atoms": [[1, True]]}, "'atoms' must be a 2-d array"),
+    ({"atoms": [0.5, -0.5]}, "'atoms' must be a 2-d array"),
+    ({"weights": np.array([True])}, "'weights' must be a 1-d array"),
+    ({"r_exponent": True}, "'r_exponent' must be a number"),
+    ({"r_exponent": 2.0}, "'r_exponent' must lie in [1, 2)"),
+])
+def test_walk_config_names_a_bad_field(bad, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        WalkConfig(**{**_GOOD, **bad})
+
+
+def test_walk_config_takes_integral_floats_as_ints():
+    cfg = WalkConfig(**{**_GOOD, "d": 2.0, "n_steps": 4.0, "n_replicas": np.int64(2),
+                        "seed": 3.0, "r_exponent": 1})
+    assert (cfg.d, cfg.n_steps, cfg.n_replicas, cfg.seed) == (2, 4, 2, 3)
+    assert all(type(v) is int for v in (cfg.d, cfg.n_steps, cfg.n_replicas, cfg.seed))
+    assert type(cfg.r_exponent) is float
+    assert cfg.atoms.dtype == cfg.weights.dtype == np.float64
+    assert WalkConfig.from_json(json.dumps({**_GOOD, "n_steps": 4.0})).n_steps == 4
+
+
+@pytest.mark.parametrize("seed, index, named", [
+    (1.5, 0, "seed must be an integer, got 1.5"),
+    (True, 0, "seed must be an integer, got True"),
+    (-1, 0, "seed must be at least 0, got -1"),
+    (0, -2, "index must be at least 0, got -2"),
+    (0, "1", "index must be an integer"),
+])
+def test_substream_names_a_bad_seed_or_index(seed, index, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        substream(seed, index)
+
+
+def test_substream_takes_integral_floats_as_ints():
+    assert np.array_equal(substream(7.0, np.int64(1)).standard_normal(3),
+                          substream(7, 1).standard_normal(3))
 
 
 @pytest.mark.parametrize("weights", [[np.nan], [np.inf], [0.5, np.nan]])
