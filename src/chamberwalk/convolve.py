@@ -64,7 +64,7 @@ class EmpiricalMeasure:
 
     @classmethod
     def uniform(cls, atoms) -> "EmpiricalMeasure":
-        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        atoms = _check_real(atoms, 2, "atoms")
         n = atoms.shape[0]
         if n < 1:
             raise ValueError("a uniform measure needs at least one atom")

@@ -44,11 +44,8 @@ def _positive_qr_q(z: np.ndarray) -> np.ndarray:
             for _ in range(2):
                 c = np.einsum("nik,ni->nk", done, v.conj()).conj()
                 v -= np.einsum("nk,nik->ni", c, done)
-        if np.iscomplexobj(v):
-            v /= np.sqrt(np.einsum("ni,ni->n", v.real, v.real)
-                         + np.einsum("ni,ni->n", v.imag, v.imag))[:, None]
-        else:  # no imaginary part to sum
-            v /= np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
+        v /= np.sqrt(np.einsum("ni,ni->n", v.real, v.real)
+                     + np.einsum("ni,ni->n", v.imag, v.imag))[:, None]
     return z
 
 

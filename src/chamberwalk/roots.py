@@ -4,8 +4,9 @@ Everything downstream (spherical functions, samplers, walks) consumes the
 objects built here: the positive roots, the vector rho (sum of the positive
 roots), the Weyl group W as cached arrays of signed permutations, the
 closed chamber C, and one private validator per kind of input, each raising
-ValueError that names the input: `_check_vec` (ambient vectors and rows),
-`_check_chamber` (chamber points), `_check_real` (arrays of real numbers),
+ValueError that names the input: `_check_vec` (ambient vectors and rows,
+converted by numpy's float conversion), `_check_chamber` (chamber points),
+`_check_real` (arrays whose entries are real numbers, not bool or strings),
 `_check_weights` (probability vectors) and `_check_count` (integer counts).
 
 Conventions: vectors live in R^ambient_dim with the standard dot product.
@@ -97,17 +98,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             f"family {family} requires rank >= {_MIN_RANK[family]}, got {rank}"
         )
 
+    dim = rank + 1 if family == "A" else rank
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    roots = [_e(i, dim) - _e(j, dim) for i, j in pairs]
     if family == "A":
-        dim = rank + 1
-        roots = [_e(i, dim) - _e(j, dim) for i in range(dim) for j in range(i + 1, dim)]
         order = math.factorial(dim)
     else:
-        dim = rank
-        roots = [
-            _e(i, dim) - _e(j, dim) for i in range(dim) for j in range(i + 1, dim)
-        ] + [
-            _e(i, dim) + _e(j, dim) for i in range(dim) for j in range(i + 1, dim)
-        ]
+        roots += [_e(i, dim) + _e(j, dim) for i, j in pairs]
         if family == "B":
             roots += [_e(i, dim) for i in range(dim)]
             order = 2**rank * math.factorial(rank)

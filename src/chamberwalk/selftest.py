@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import convolve, kernels, roots, walk
-from .roots import build_root_system, chamber_project, in_chamber, min_root_pairing
+from . import convolve, kernels, walk
+from .roots import (_check_count, build_root_system, chamber_project, in_chamber,
+                    min_root_pairing)
 from .special import (
     m1_closed,
     m1_closed_rows,
@@ -92,10 +93,7 @@ def check_psi_vs_haar_mc(p, rng) -> CheckOutcome:
             x = _random_regular(rs, rng)
             lam = _random_regular_vec(rs, rng)
             v = w2 @ x
-            samples = np.exp(1j * (v @ lam))
-            mc = complex(samples.mean())
-            dev = samples - mc
-            se = math.sqrt(np.mean(dev.real**2 + dev.imag**2) / n)
+            mc, se = convolve._mean_stderr(np.exp(1j * (v @ lam)))
             closed = spherical_psi(rs, lam, x).value
             z = abs(closed - mc) / se
             worst = max(worst, z)
@@ -314,7 +312,7 @@ def run_selftest(level: str, seed: int, out_dir) -> tuple[list[CheckOutcome], di
     """Run all checks; write report + artifacts under out_dir; return outcomes."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
-    seed = roots._check_count(seed, 0, "seed")
+    seed = _check_count(seed, 0, "seed")
     p = FAST if level == "fast" else FULL
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -75,15 +75,15 @@ class WalkConfig:
     def __post_init__(self):
         for name, rule, *args in (("d", _check_count, 2), ("n_steps", _check_count, 1),
                                   ("n_replicas", _check_count, 1), ("seed", _check_count, 0),
-                                  ("atoms", _check_real, 2), ("weights", _check_weights),
-                                  ("r_exponent", _check_real, 0)):
+                                  ("atoms", _check_real, 2), ("weights", _check_weights)):
             value = rule(getattr(self, name), *args, f"WalkConfig field {name!r}")
             object.__setattr__(self, name, value)
-        r = float(self.r_exponent)
-        object.__setattr__(self, "r_exponent", r)
+        r = float(_check_real(self.r_exponent, 0, "WalkConfig field 'r_exponent'"))
         if not 1.0 <= r < 2.0:
             raise ValueError(f"WalkConfig field 'r_exponent' must lie in [1, 2), got {r}")
-        if self.atoms.shape[1] != self.d or self.weights.shape != self.atoms.shape[:1]:
+        object.__setattr__(self, "r_exponent", r)
+        # atoms are real floats now: shape against d and weights, then the chamber
+        if self.atoms.shape != (self.weights.size, self.d):
             raise ValueError(f"need atoms of shape (k, {self.d}) and k weights")
         _check_chamber(build_root_system("A", self.d - 1), self.atoms, "atom", rows=True)
         if np.any(np.linalg.norm(self.atoms, axis=1) > 5.0):
@@ -342,12 +342,10 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
     idx_e = rng_e.choice(len(cfg.weights), size=(reps, n), p=cfg.weights)
     total = np.zeros((reps, d, d), dtype=complex)
     for a_i, atom in enumerate(cfg.atoms):
-        count = int(np.sum(idx_e == a_i))
-        if count == 0:
-            continue
-        mats, _ = tilted_orbit_batch(d, atom, count, rng_e)
-        rows = np.repeat(np.arange(reps), np.sum(idx_e == a_i, axis=1))
-        np.add.at(total, rows, mats)
+        per_rep = np.sum(idx_e == a_i, axis=1)
+        if per_rep.any():
+            mats, _ = tilted_orbit_batch(d, atom, int(per_rep.sum()), rng_e)
+            np.add.at(total, np.repeat(np.arange(reps), per_rep), mats)
     p_vals = np.linalg.eigvalsh(total)[:, ::-1]
 
     ks = [float(ks_2samp(q_logs[:, i], p_vals[:, i]).statistic) for i in range(d)]

@@ -374,6 +374,15 @@ def test_empirical_measure_refuses_non_real_entries(atoms, weights, named):
         EmpiricalMeasure(atoms, weights)
 
 
+@pytest.mark.parametrize("atoms", [[[True, False]], [["0.5", "-0.5"]], [[1, True]],
+                                   np.array([[0.5, -0.5j]]), [0.5, -0.5]])
+def test_uniform_measure_takes_atoms_by_the_same_rule(atoms):
+    with pytest.raises(ValueError, match="atoms must be a 2-d array of numbers"):
+        EmpiricalMeasure.uniform(atoms)
+    m = EmpiricalMeasure.uniform([[1, -1], [0.5, -0.5]])
+    assert m.atoms.dtype == np.float64 and m.weights.tolist() == [0.5, 0.5]
+
+
 @pytest.mark.parametrize("n", [2.5, True, "10"])
 def test_sample_size_must_be_an_integer(n):
     rng = substream(1, 17)
