@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, convolve, walk
-from .roots import RootSystemError, build_root_system
+from .roots import RootSystemError, _check_vec, build_root_system
 from .selftest import run_selftest
 from .special import m1_closed, semicharacter, spherical_phi, spherical_psi
 from .walk import WalkConfig, euclidean_walk_crosscheck, run_group_walk
@@ -46,16 +46,25 @@ def _manifest(args: argparse.Namespace) -> dict:
             "seed": getattr(args, "seed", None), "version": __version__}
 
 
-def _parse_vector(text: str | None, name: str, size: int) -> np.ndarray:
+def _parse_vector(text: str | None, name: str, rs) -> np.ndarray:
+    """The JSON array ``text`` as an ambient vector of ``rs``, by `_check_vec`."""
     if text is None:
         raise SystemExit(f"error: {name} is required")
     try:
-        v = np.asarray(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        v = json.loads(text)
+        shape = np.shape(v)
+    except ValueError as exc:  # not JSON, or a ragged array
         raise SystemExit(f"error: {name} must be a JSON array of numbers: {exc}")
-    if v.shape != (size,):
-        raise SystemExit(f"error: {name} must hold {size} numbers, got shape {v.shape}")
-    return v
+    if shape != (rs.ambient_dim,):
+        raise SystemExit(f"error: {name} must hold {rs.ambient_dim} numbers, got shape {shape}")
+    return _check_vec(rs, v)
+
+
+def _refuse_unused(args, command: str, *dests: str) -> None:
+    """Exit 2 naming each flag among ``dests`` that was given, as ``command`` does not use it."""
+    given = ["--lambda" if k == "lam" else f"--{k}" for k in dests if getattr(args, k) is not None]
+    if given:
+        raise SystemExit(f"error: {command} does not use {', '.join(given)}")
 
 
 def _emit(payload: dict, manifest: dict, out: str | None) -> None:
@@ -83,9 +92,11 @@ def cmd_rho(args) -> int:
 
 def cmd_eval(args) -> int:
     rs = build_root_system(args.family, args.rank)
-    x = _parse_vector(args.x, "--x", rs.ambient_dim)
+    if args.kind in ("semichar", "m1"):
+        _refuse_unused(args, f"eval {args.kind}", "lam")
+    x = _parse_vector(args.x, "--x", rs)
     if args.kind in ("psi", "phi"):
-        lam = _parse_vector(args.lam, "--lambda", rs.ambient_dim)
+        lam = _parse_vector(args.lam, "--lambda", rs)
         fn = spherical_psi if args.kind == "psi" else spherical_phi
         sv = fn(rs, lam, x)
         payload = {"value_re": sv.value.real, "value_im": sv.value.imag,
@@ -100,8 +111,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    x = _parse_vector(args.x, "--x", args.d)
-    y = _parse_vector(args.y, "--y", args.d)
+    rs = build_root_system("A", args.d - 1)
+    x, y = _parse_vector(args.x, "--x", rs), _parse_vector(args.y, "--y", rs)
     rng = walk.substream(args.seed, 0)
     sampler = (convolve.conv_hermitian_cloud if args.mode == "hermitian"
                else convolve.conv_group_cloud)
@@ -121,14 +132,16 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    x = _parse_vector(args.x, "--x", args.d)
-    y = _parse_vector(args.y, "--y", args.d)
+    if args.which in ("semichar-mult", "support"):
+        _refuse_unused(args, f"check {args.which}", "lam")
+    rs = build_root_system("A", args.d - 1)
+    x, y = _parse_vector(args.x, "--x", rs), _parse_vector(args.y, "--y", rs)
     rng = walk.substream(args.seed, 0)
     manifest = _manifest(args)
     if args.which == "deformation":
         f = "bump"
         if args.lam is not None:
-            f = ("phi", _parse_vector(args.lam, "--lambda", args.d))
+            f = ("phi", _parse_vector(args.lam, "--lambda", rs))
         res = convolve.deformation_check(args.d, x, y, f, args.n, rng)
         payload = {"which": args.which, "pass": res.passed,
                    "lhs_re": res.lhs.real, "lhs_im": res.lhs.imag,
@@ -146,8 +159,7 @@ def cmd_check(args) -> int:
         passed = rep.passed
         payload = {"which": args.which, **json.loads(rep.to_json())}
     else:  # transform-homomorphism
-        lam = _parse_vector(args.lam, "--lambda", args.d)
-        rs = build_root_system("A", args.d - 1)
+        lam = _parse_vector(args.lam, "--lambda", rs)
         cloud = convolve.conv_hermitian_cloud(args.d, x, y, args.n, rng)
         measure = convolve.EmpiricalMeasure.uniform(cloud)
         est, se = convolve.spherical_transform_empirical(measure, lam, "psi", rs)
@@ -162,12 +174,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    defaults = {"d": 2, "n": 1000, "replicas": 1, "seed": 0}  # what --config replaces
     if args.config:
+        _refuse_unused(args, "walk --config", "x", *defaults)
         cfg = WalkConfig.from_json(Path(args.config).read_text())
+        args.d, args.n, args.replicas, args.seed = cfg.d, cfg.n_steps, cfg.n_replicas, cfg.seed
     else:
         if args.x is None:
             raise SystemExit("error: walk needs --config or --x")
-        x = _parse_vector(args.x, "--x", args.d)
+        vars(args).update({k: v for k, v in defaults.items() if vars(args)[k] is None})
+        x = _parse_vector(args.x, "--x", build_root_system("A", args.d - 1))
         cfg = WalkConfig(d=args.d, atoms=x[None, :], weights=np.array([1.0]),
                          n_steps=args.n, n_replicas=args.replicas,
                          seed=args.seed)
@@ -222,35 +238,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="JSON vector (psi/phi only)")
     p.add_argument("--out")
 
-    p = add("convolve", cmd_convolve,
-            help="sample a convolution spectrum cloud (CSV + JSON summary)")
-    p.add_argument("mode", choices=["hermitian", "group"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="prefix; writes <out>.csv and <out>.json")
+    conv = add("convolve", cmd_convolve,
+               help="sample a convolution spectrum cloud (CSV + JSON summary)")
+    conv.add_argument("mode", choices=["hermitian", "group"])
 
-    p = add("check", cmd_check, help="run a Monte-Carlo verification check")
-    p.add_argument("which", choices=["deformation", "semichar-mult", "support",
-                                     "transform-homomorphism"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--lambda", dest="lam",
-                   help="use phi_lambda as test function / transform point")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
+    check = add("check", cmd_check, help="run a Monte-Carlo verification check")
+    check.add_argument("which", choices=["deformation", "semichar-mult", "support",
+                                         "transform-homomorphism"])
+    for p, n in ((conv, 10_000), (check, 100_000)):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
+        p.add_argument("--n", type=int, default=n)
+        p.add_argument("--seed", type=int, default=0)
+    conv.add_argument("--out", help="prefix; writes <out>.csv and <out>.json")
+    check.add_argument("--lambda", dest="lam",
+                       help="use phi_lambda as test function / transform point")
+    check.add_argument("--out")
 
     p = add("walk", cmd_walk, help="run a biinvariant random matrix walk")
     p.add_argument("--config", help="WalkConfig JSON file")
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--d", type=int, help="default 2")
     p.add_argument("--x", help="single-atom step distribution (JSON vector)")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--replicas", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, help="steps, default 1000")
+    p.add_argument("--replicas", type=int, help="default 1")
+    p.add_argument("--seed", type=int, help="default 0")
     p.add_argument("--crosscheck", action="store_true",
                    help="KS comparison against the weighted Euclidean walk")
     p.add_argument("--out", help="prefix; writes <out>.json and <out>.csv")

@@ -23,8 +23,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import kernels
-from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_weights,
-                    build_root_system)
+from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_vec,
+                    _check_weights, build_root_system)
 from .special import (
     log_semicharacter,
     log_semicharacter_rows,
@@ -59,8 +59,6 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", _check_weights(self.weights))
         if self.atoms.shape[0] != self.weights.shape[0]:
             raise ValueError("one weight per atom required")
-        if not np.all(np.isfinite(self.atoms)):
-            raise ValueError("atoms must be finite")
 
     @classmethod
     def uniform(cls, atoms) -> "EmpiricalMeasure":
@@ -135,7 +133,7 @@ def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
     """
     n = _check_count(n, 1, "sample size n")
     rs = build_root_system("A", d - 1)
-    x, y = _check_chamber(rs, x, "x"), _check_chamber(rs, y, "y")
+    d, x, y = rs.ambient_dim, _check_chamber(rs, x, "x"), _check_chamber(rs, y, "y")
     if not y.any():
         return np.tile(x, (n, 1))
     if not x.any():
@@ -174,13 +172,12 @@ def _test_function(rs: RootSystem, f):
     if f == "bump":
         return lambda z: np.exp(-np.sum(z * z, axis=1))
     if isinstance(f, tuple) and len(f) == 2 and f[0] == "phi":
-        lam = np.asarray(f[1], dtype=float)
+        lam = _check_vec(rs, f[1], name="lambda")
         return lambda z: spherical_phi_rows(rs, lam, z).value
     raise ValueError(f"unknown test function {f!r}; use 'bump' or ('phi', lambda)")
 
 
-def _mean_stderr(vals) -> tuple[complex, float]:
-    vals = np.asarray(vals)
+def _mean_stderr(vals: np.ndarray) -> tuple[complex, float]:
     mean = complex(vals.mean())
     dev = vals - mean
     var = float(np.mean(dev.real**2 + dev.imag**2))
@@ -273,7 +270,7 @@ def spherical_transform_empirical(
     if rs is None:
         rs = build_root_system("A", measure.atoms.shape[1] - 1)
     rows = spherical_psi_rows if which == "psi" else spherical_phi_rows
-    vals = np.conj(rows(rs, np.asarray(lam, dtype=float), measure.atoms).value)
+    vals = np.conj(rows(rs, _check_vec(rs, lam, name="lambda"), measure.atoms).value)
     est = complex(np.sum(measure.weights * vals))
     dev = vals - est
     var = np.sum(measure.weights**2 * (dev.real**2 + dev.imag**2))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .roots import RootSystem, _check_count
+from .roots import RootSystem, _check_count, _check_real, _check_vec
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -59,7 +59,7 @@ def haar_unitary_batch(d: int, n: int, rng) -> np.ndarray:
     U, so there is no SU(d) correction; `sample_biinvariant` makes det Z = 1
     on its product instead.
     """
-    d = _check_count(d, 2, "d")
+    d, n = _check_count(d, 2, "d"), _check_count(n, 0, "sample size n")
     z = np.empty((n, d, d), dtype=complex)
     z.real = rng.standard_normal((n, d, d))
     z.imag = rng.standard_normal((n, d, d))
@@ -72,7 +72,7 @@ def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
     The positive-R Q factor of a real Ginibre stack, by `_positive_qr_q`, is
     Haar in O(m); negating the last column where det Q = -1 maps it to SO(m).
     """
-    m = _check_count(m, 2, "m")
+    m, n = _check_count(m, 2, "m"), _check_count(n, 0, "sample size n")
     q = _positive_qr_q(rng.standard_normal((n, m, m)))
     flip = np.linalg.det(q) < 0
     q[flip, :, -1] = -q[flip, :, -1]
@@ -159,9 +159,7 @@ def sample_biinvariant(x, rng) -> np.ndarray:
     makes det Z = 1; the scalar is central, so the law is that of U, V Haar
     in SU(d), and log_singular_spectrum(Z) = x.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("chamber point has non-finite entries")
+    x = _check_real(x, 1, "chamber point")
     if abs(x.sum()) > 1e-9:
         raise ValueError("chamber point must have zero coordinate sum")
     z = biinvariant_batch(x[None], rng)[0]
@@ -170,7 +168,7 @@ def sample_biinvariant(x, rng) -> np.ndarray:
 
 def block_embed(rs: RootSystem, x) -> np.ndarray:
     """Antisymmetric block embedding of a B/D chamber point."""
-    x = np.asarray(x, dtype=float)
+    x = _check_vec(rs, x, name="x")
     n = rs.rank
     m = 2 * n + (1 if rs.family == "B" else 0)
     a = np.zeros((m, m))
@@ -188,10 +186,11 @@ def orbit_diagonal_batch(rs: RootSystem, x, n: int, rng) -> np.ndarray:
     coordinates A[2j, 2j+1] of Q iota(x) Q^T.
     """
     if rs.family == "C":
-        raise ValueError("family C has no matrix orbit realization")
-    x = np.asarray(x, dtype=float)
+        raise ValueError("family C has no matrix orbit realization; its spherical data "
+                         "coincides with family B (B<->C identity)")
+    x, n = _check_vec(rs, x, name="x"), _check_count(n, 0, "sample size n")
     if rs.family == "A":
-        u = haar_unitary_batch(x.shape[0], n, rng)
+        u = haar_unitary_batch(rs.ambient_dim, n, rng)
         return np.abs(u) ** 2 @ x
     a = block_embed(rs, x)
     q = haar_orthogonal_batch(a.shape[0], n, rng)

@@ -4,10 +4,10 @@ Everything downstream (spherical functions, samplers, walks) consumes the
 objects built here: the positive roots, the vector rho (sum of the positive
 roots), the Weyl group W as cached arrays of signed permutations, the
 closed chamber C, and one private validator per kind of input, each raising
-ValueError that names the input: `_check_vec` (ambient vectors and rows,
-converted by numpy's float conversion), `_check_chamber` (chamber points),
-`_check_real` (arrays whose entries are real numbers, not bool or strings),
-`_check_weights` (probability vectors) and `_check_count` (integer counts).
+ValueError that names the input: `_check_real` (the number rule: finite real
+numbers, or complex for lambda, never bool or strings) and, built on it,
+`_check_vec` (ambient vectors and rows), `_check_chamber` (chamber points) and
+`_check_weights` (probability vectors); `_check_count` takes integer counts.
 
 Conventions: vectors live in R^ambient_dim with the standard dot product.
 For family A the ambient dimension is rank+1 and all roots and chamber
@@ -93,23 +93,25 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     """
     if family not in FAMILIES:
         raise RootSystemError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if rank < _MIN_RANK[family]:
-        raise RootSystemError(
-            f"family {family} requires rank >= {_MIN_RANK[family]}, got {rank}"
-        )
+    low = _MIN_RANK[family]
+    try:
+        rank = _check_count(rank, low, "rank")
+    except ValueError as exc:
+        raise RootSystemError(f"family {family} requires rank >= {low}: {exc}") from None
 
     dim = rank + 1 if family == "A" else rank
+    e = np.eye(dim)
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    roots = [_e(i, dim) - _e(j, dim) for i, j in pairs]
+    roots = [e[i] - e[j] for i, j in pairs]
     if family == "A":
         order = math.factorial(dim)
     else:
-        roots += [_e(i, dim) + _e(j, dim) for i, j in pairs]
+        roots += [e[i] + e[j] for i, j in pairs]
         if family == "B":
-            roots += [_e(i, dim) for i in range(dim)]
+            roots += list(e)
             order = 2**rank * math.factorial(rank)
         elif family == "C":
-            roots += [2.0 * _e(i, dim) for i in range(dim)]
+            roots += list(2.0 * e)
             order = 2**rank * math.factorial(rank)
         else:  # D
             order = 2 ** (rank - 1) * math.factorial(rank)
@@ -119,12 +121,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     mat.setflags(write=False)
     rho.setflags(write=False)
     return RootSystem(family, rank, dim, mat, rho, order)
-
-
-def _e(i: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim)
-    v[i] = 1.0
-    return v
 
 
 @lru_cache(maxsize=None)
@@ -165,14 +161,12 @@ def enumerate_weyl(rs: RootSystem) -> WeylGroup:
 
 
 def _check_vec(rs: RootSystem, v, dtype=float, rows: bool = False, name=None) -> np.ndarray:
-    """``v`` as a finite array of the given dtype and shape (ambient_dim,),
-    or (n, ambient_dim) with ``rows``."""
-    v = np.asarray(v, dtype=dtype)
-    what = f"{name} has" if name else "rows have" if rows else "vector has"
-    if v.ndim != 1 + rows or v.shape[-1] != rs.ambient_dim:
-        raise ValueError(f"{what} shape {v.shape}, expected length {rs.ambient_dim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} non-finite entries")
+    """`_check_real` for an ambient vector, or with ``rows`` a stack of them:
+    ``v`` as a finite array of shape (ambient_dim,) or (n, ambient_dim)."""
+    name = name or ("xs" if rows else "vector")
+    v = _check_real(v, 1 + rows, name, dtype)
+    if v.shape[-1] != rs.ambient_dim:
+        raise ValueError(f"{name} has shape {v.shape}, expected length {rs.ambient_dim}")
     return v
 
 
@@ -185,29 +179,35 @@ def _check_chamber(rs: RootSystem, v, name: str, rows: bool = False) -> np.ndarr
     return v
 
 
-def _check_real(v, ndim: int, name: str) -> np.ndarray:
-    """``v`` as a float array with ``ndim`` axes.  Every entry must be a
-    numbers.Real: bool, complex, strings and other types raise ValueError."""
+def _check_real(v, ndim: int, name: str, dtype=float,
+                nonfinite: str = "has non-finite entries") -> np.ndarray:
+    """The number rule: ``v`` as a finite ``dtype`` array with ``ndim`` axes, each entry a
+    numbers.Real (numbers.Complex for a complex dtype) and not bool.  Anything else raises
+    ValueError naming ``name``; ``nonfinite`` ends the message for a non-finite entry."""
     a = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+    kind = numbers.Complex if dtype is complex else numbers.Real
     types = {type(e) for e in a.flat} if a.dtype == object else {a.dtype.type}
-    real = all(issubclass(t, numbers.Real) and t is not bool for t in types)
-    if a.ndim != ndim or not real:
-        kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
-        raise ValueError(f"{name} must be {kind}, real and not bool; "
+    if a.ndim != ndim or not all(issubclass(t, kind) and t is not bool for t in types):
+        shape = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
+        field = "real" if kind is numbers.Real else "real or complex"
+        raise ValueError(f"{name} must be {shape}, {field} and not bool; "
                          f"got shape {a.shape}: {reprlib.repr(v)}")
     try:
-        return np.asarray(a, dtype=float)
+        a = np.asarray(a, dtype=dtype)
     except OverflowError:  # an int beyond the float range
         raise ValueError(f"{name} has an entry too large for a float") from None
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} {nonfinite}")
+    return a
 
 
 def _check_weights(w, name: str = "weights") -> np.ndarray:
     """``w`` as a float probability vector: 1-d, real, finite, nonnegative
     and summing to 1 within 1e-12."""
-    w = _check_real(w, 1, name)
-    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):  # NaN fails both
-        raise ValueError(f"{name} must be a probability vector: finite, nonnegative "
-                         f"entries that sum to 1 within 1e-12; got {reprlib.repr(w)}")
+    rule = "must be a probability vector: finite, nonnegative entries that sum to 1 within 1e-12"
+    w = _check_real(w, 1, name, nonfinite=rule)
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValueError(f"{name} {rule}; got {reprlib.repr(w)}")
     return w
 
 
@@ -261,5 +261,5 @@ def in_chamber(rs: RootSystem, x, tol: float = 1e-12) -> bool:
 
 def min_root_pairing(rs: RootSystem, v) -> float:
     """min over positive roots of |<alpha, v>|; zero iff v lies on a wall."""
-    v = np.asarray(v)
+    v = _check_vec(rs, v)
     return float(np.min(np.abs(rs.positive_roots @ v)))

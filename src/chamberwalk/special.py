@@ -91,7 +91,7 @@ def _constants(family: str, rank: int) -> tuple[float, np.ndarray, np.ndarray, f
 
 def _log_sinhc(t):
     """log(sinh t / t), elementwise, stable at 0 and for large |t|."""
-    t = np.abs(np.asarray(t, dtype=float))
+    t = np.abs(t)
     small = t < 1e-4
     tl = np.where(small, 1.0, t)
     out = tl + np.log1p(-np.exp(-2.0 * tl)) - np.log(2.0 * tl)
@@ -113,7 +113,7 @@ def semicharacter(rs: RootSystem, x) -> float:
 
 def log_semicharacter_rows(rs: RootSystem, xs) -> np.ndarray:
     """log_semicharacter applied to each row of ``xs``."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _check_vec(rs, xs, rows=True)
     return np.sum(_log_sinhc(xs @ rs.positive_roots.T), axis=-1)
 
 
@@ -317,16 +317,11 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
 
     Averages (k.x) * exp(<rho, k.x>) over Haar-random orbit elements and
     divides by the closed-form semicharacter.  Returns (estimate, stderr),
-    both per coordinate.  Families A, B and D have matrix realizations;
-    family C is rejected (use the B<->C spherical-function identity).
+    both per coordinate.  Families A, B and D have matrix realizations; family C
+    (use the B<->C spherical-function identity) is refused unless x = 0.
     """
     x = _check_vec(rs, x)
     n = _check_count(n, 1, "sample size n")
-    if rs.family == "C":
-        raise ValueError(
-            "family C has no matrix orbit realization; its spherical data "
-            "coincides with family B (B<->C identity)"
-        )
     if not x.any():
         return np.zeros(rs.ambient_dim), np.zeros(rs.ambient_dim)
 
@@ -351,7 +346,7 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
 
 def m1_expectation(rs: RootSystem, atoms, weights) -> np.ndarray:
     """Integral of m1 against a finite measure sum_i weights_i * delta_atoms_i."""
-    atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+    atoms = _check_vec(rs, atoms, rows=True, name="atoms")
     weights = _check_weights(weights)
     if atoms.shape[0] != weights.shape[0]:
         raise ValueError("one weight per atom required")

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from . import kernels
-from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_weights,
-                    build_root_system)
+from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_vec,
+                    _check_weights, build_root_system)
 from .special import log_semicharacter, m1_expectation
 
 #: two-sample KS coefficient at the 1% level
@@ -258,7 +258,7 @@ def run_group_walk(cfg: WalkConfig) -> WalkReport:
 
 def rejection_rate(rs: RootSystem, x) -> float:
     """Theoretical acceptance rate psi_{-i rho}(x) * exp(-<rho, x>)."""
-    x = np.asarray(x, dtype=float)
+    x = _check_vec(rs, x, name="x")
     return math.exp(log_semicharacter(rs, x) - float(rs.rho @ x))
 
 
@@ -275,7 +275,7 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     Returns (matrices (n,d,d), n_proposed).
     """
     rs = build_root_system("A", d - 1)
-    x = _check_chamber(rs, x, "x")
+    d, x, n = rs.ambient_dim, _check_chamber(rs, x, "x"), _check_count(n, 0, "sample size n")
     rho_x = float(rs.rho @ x)
     if rho_x > _REJECTION_RHO_X_MAX:
         raise ValueError("<rho, x> too large for rejection sampling (cap 30)")

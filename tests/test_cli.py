@@ -309,3 +309,73 @@ def test_every_cli_csv_parses_as_plain_floats(tmp_path, capsys, monkeypatch):
     header, rows = _read_csv(tmp_path / "st" / "walk_trajectory.csv")
     assert header == ["n", "q1_over_n", "q2_over_n", "q3_over_n", "mz_scaled_dev"]
     assert rows[-1][0] == 64
+
+
+_SEVEN = {"d": 2, "atoms": [[0.5, -0.5]], "weights": [1.0], "n_steps": 8, "n_replicas": 2,
+          "seed": 7}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "3", "--n", "99"], "error: walk --config does not use --n, --seed\n"),
+    (["--x", "[1,-1]", "--d", "2"], "error: walk --config does not use --x, --d\n"),
+    (["--replicas", "1"], "error: walk --config does not use --replicas\n"),
+])
+def test_walk_config_refuses_the_flags_it_replaces(tmp_path, capsys, flags, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_SEVEN))
+    assert main(["walk", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "support", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]", "--lambda", "[1,-1]"],
+     "error: check support does not use --lambda\n"),
+    (["check", "semichar-mult", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]",
+      "--lambda", "[1,-1]"], "error: check semichar-mult does not use --lambda\n"),
+    (["eval", "semichar", "A", "1", "--x", "[1,-1]", "--lambda", "[5,-5]"],
+     "error: eval semichar does not use --lambda\n"),
+    (["eval", "m1", "A", "1", "--x", "[1,-1]", "--lambda", "[5,-5]"],
+     "error: eval m1 does not use --lambda\n"),
+])
+def test_a_flag_the_command_does_not_use_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message, captured
+
+
+def test_walk_manifest_records_the_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_SEVEN))
+    code, out = run_cli(capsys, "walk", "--config", str(cfg))
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert manifest["seed"] == 7
+    assert manifest["params"] == {"config": str(cfg), "crosscheck": False, "d": 2, "n": 8,
+                                  "out": None, "replicas": 2, "x": None}
+    # without --config the manifest holds walk's defaults, as it always has
+    code, out = run_cli(capsys, "walk", "--x", "[0.5,-0.5]", "--n", "10")
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert manifest["seed"] == 0
+    assert manifest["params"] == {"config": None, "crosscheck": False, "d": 2, "n": 10,
+                                  "out": None, "replicas": 1, "x": "[0.5,-0.5]"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "semichar", "A", "1", "--x", "[true,-1]"],
+     "error: vector must be a 1-d array of numbers, real and not bool"),
+    (["eval", "semichar", "A", "1", "--x", '["1","-1"]'],
+     "error: vector must be a 1-d array of numbers, real and not bool"),
+    (["eval", "psi", "A", "1", "--x", "[1,-1]", "--lambda", "[false,0]"],
+     "error: vector must be a 1-d array of numbers, real and not bool"),
+    (["convolve", "group", "--d", "2", "--x", "[1,-1]", "--y", '["0.5",-0.5]'],
+     "error: vector must be a 1-d array of numbers, real and not bool"),
+    (["check", "deformation", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]",
+      "--lambda", "[true,false]"], "error: vector must be a 1-d array of numbers"),
+    (["walk", "--x", "[1,true]"], "error: vector must be a 1-d array of numbers"),
+    (["walk", "--x", "[1,[2]]"], "error: --x must be a JSON array of numbers"),
+])
+def test_command_line_vectors_take_numbers_by_the_library_rule(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message), captured.err

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ from chamberwalk.kernels import (
     orbit_diagonal_batch,
     sample_biinvariant,
 )
-from chamberwalk.roots import build_root_system, chamber_project, in_chamber
-from chamberwalk.walk import substream
+from chamberwalk.convolve import conv_hermitian_cloud
+from chamberwalk.roots import RootSystemError, build_root_system, chamber_project, in_chamber
+from chamberwalk.walk import substream, tilted_orbit_batch
 
 
 def test_haar_unitary_is_unitary():
@@ -280,3 +283,32 @@ def test_haar_unitary_batch_unitarity(d):
     gram = np.conj(np.swapaxes(u, -1, -2)) @ u
     assert np.abs(gram - np.eye(d)).max() < 1e-14
 
+
+
+_A1 = build_root_system("A", 1)
+
+
+@pytest.mark.parametrize("sample, empty_shape", [
+    (lambda n, rng: haar_unitary_batch(2, n, rng), (0, 2, 2)),
+    (lambda n, rng: haar_orthogonal_batch(3, n, rng), (0, 3, 3)),
+    (lambda n, rng: orbit_diagonal_batch(_A1, [1.0, -1.0], n, rng), (0, 2)),
+    (lambda n, rng: tilted_orbit_batch(2, [1.0, -1.0], n, rng)[0], (0, 2, 2)),
+])
+def test_sample_sizes_go_through_the_count_rule(sample, empty_shape):
+    for n, named in ((2.5, "sample size n must be an integer, got 2.5"),
+                     (True, "sample size n must be an integer, got True"),
+                     (-1, "sample size n must be at least 0, got -1")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sample(n, substream(0, 20))
+    assert sample(0, substream(0, 20)).shape == empty_shape
+    assert np.array_equal(sample(3.0, substream(0, 21)), sample(3, substream(0, 21)))
+
+
+@pytest.mark.parametrize("sample", [
+    lambda d, rng: tilted_orbit_batch(d, [1.0, -1.0], 4, rng)[0],
+    lambda d, rng: conv_hermitian_cloud(d, [1.0, -1.0], [0.5, -0.5], 4, rng),
+])
+def test_the_dimension_goes_through_the_rank_rule(sample):
+    with pytest.raises(RootSystemError, match=re.escape("rank must be an integer, got 1.5")):
+        sample(2.5, substream(0, 22))
+    assert np.array_equal(sample(2.0, substream(0, 23)), sample(2, substream(0, 23)))

@@ -1,7 +1,19 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import chamberwalk
+from chamberwalk.convolve import (EmpiricalMeasure, conv_group_cloud, conv_hermitian_cloud,
+                                  deformation_check, semicharacter_multiplicativity,
+                                  spherical_transform_empirical, support_equivalence)
+from chamberwalk.kernels import block_embed, orbit_diagonal_batch, sample_biinvariant
+from chamberwalk.roots import build_root_system, chamber_project, min_root_pairing
+from chamberwalk.special import (log_semicharacter_rows, m1_closed, m1_closed_rows,
+                                 m1_expectation, m1_mc, semicharacter, spherical_phi,
+                                 spherical_phi_rows, spherical_psi, spherical_psi_rows)
+from chamberwalk.walk import WalkConfig, rejection_rate, substream, tilted_orbit_batch
 
 SRC = Path(chamberwalk.__file__).resolve().parent
 
@@ -32,3 +44,100 @@ def test_no_public_name_is_test_only():
         and node.name not in used
     ]
     assert unused == []
+
+
+#: public functions that take matrices, validated by their own rule in kernels
+_MATRIX_ENTRIES = {"hermitian_spectrum", "log_singular_spectrum"}
+
+
+def test_only_roots_converts_an_argument():
+    """No public function outside roots hands one of its own parameters to a numpy
+    converter: vectors, rows and measures go through the validators in roots."""
+    converters = {"asarray", "array", "atleast_2d"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "roots.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name.startswith("_") or fn.name in _MATRIX_ENTRIES):
+                continue
+            args = fn.args
+            params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and isinstance(call.func.value, ast.Name)
+                        and call.func.value.id == "np" and call.func.attr in converters
+                        and any(isinstance(a, ast.Name) and a.id in params for a in call.args)):
+                    offenders.append(f"{path.name}:{fn.name}")
+    assert offenders == []
+
+
+A1, B2 = build_root_system("A", 1), build_root_system("B", 2)
+_BAD = {"bool": [True, -1], "string": ["1", "-1"], "complex": [1 + 0j, -1],
+        "nan": [np.nan, -1.0], "length": [1.0, 0.0, -1.0]}
+
+
+def _rng():
+    return substream(0, 0)
+
+
+#: (id, call on the bad vector, the name its error starts with, cases that do not apply)
+_VECTOR_ENTRIES = [
+    ("chamber_project", lambda v: chamber_project(A1, v), "vector", ()),
+    ("min_root_pairing", lambda v: min_root_pairing(A1, v), "vector", ()),
+    ("semicharacter", lambda v: semicharacter(A1, v), "vector", ()),
+    ("log_semicharacter_rows", lambda v: log_semicharacter_rows(A1, [v]), "xs", ()),
+    ("psi-x", lambda v: spherical_psi(A1, [0.3, -0.3], v), "vector", ()),
+    ("psi-lambda", lambda v: spherical_psi(A1, v, [1.0, -1.0]), "vector", ("complex",)),
+    ("phi-x", lambda v: spherical_phi(A1, [0.3, -0.3], v), "vector", ()),
+    ("phi-lambda", lambda v: spherical_phi(A1, v, [1.0, -1.0]), "vector", ("complex",)),
+    ("psi-rows", lambda v: spherical_psi_rows(A1, [0.3, -0.3], [v]), "xs", ()),
+    ("phi-rows-lambda", lambda v: spherical_phi_rows(A1, v, [[1.0, -1.0]]), "vector",
+     ("complex",)),
+    ("m1_closed", lambda v: m1_closed(A1, v), "vector", ()),
+    ("m1_closed_rows", lambda v: m1_closed_rows(A1, [v]), "xs", ()),
+    ("m1_mc", lambda v: m1_mc(A1, v, 10, _rng()), "vector", ()),
+    ("m1_expectation", lambda v: m1_expectation(A1, [v], [1.0]), "atoms", ()),
+    ("sample_biinvariant", lambda v: sample_biinvariant(v, _rng()), "chamber point",
+     ("length",)),  # any length of at least 2 is a chamber point of some A_n
+    ("block_embed", lambda v: block_embed(B2, v), "x", ()),
+    ("orbit_diagonal_batch", lambda v: orbit_diagonal_batch(A1, v, 4, _rng()), "x", ()),
+    ("conv_hermitian_cloud",
+     lambda v: conv_hermitian_cloud(2, v, [1.0, -1.0], 10, _rng()), "x", ()),
+    ("conv_group_cloud", lambda v: conv_group_cloud(2, [1.0, -1.0], v, 10, _rng()), "y", ()),
+    ("semicharacter_multiplicativity",
+     lambda v: semicharacter_multiplicativity(2, v, [1.0, -1.0], 10, _rng()), "x", ()),
+    ("support_equivalence",
+     lambda v: support_equivalence(2, [1.0, -1.0], v, 100, _rng()), "y", ()),
+    ("deformation_check-lambda",
+     lambda v: deformation_check(2, [1.0, -1.0], [1.0, -1.0], ("phi", v), 10, _rng()),
+     "lambda", ()),
+    ("spherical_transform_empirical",
+     lambda v: spherical_transform_empirical(EmpiricalMeasure.uniform([[1.0, -1.0]]), v,
+                                             "psi"), "lambda", ()),
+    ("EmpiricalMeasure.uniform", lambda v: EmpiricalMeasure.uniform([v]), "atoms",
+     ("length",)),  # a measure takes its dimension from its atoms
+    ("rejection_rate", lambda v: rejection_rate(A1, v), "x", ()),
+    ("tilted_orbit_batch", lambda v: tilted_orbit_batch(2, v, 4, _rng()), "x", ()),
+    ("WalkConfig", lambda v: WalkConfig(d=2, atoms=[v], weights=[1.0], n_steps=4),
+     "WalkConfig field 'atoms'|need atoms", ()),
+]
+
+
+@pytest.mark.parametrize("call, name, case", [
+    pytest.param(call, name, case, id=f"{entry}-{case}")
+    for entry, call, name, skip in _VECTOR_ENTRIES for case in _BAD if case not in skip
+])
+def test_every_vector_entry_takes_numbers_by_one_rule(call, name, case):
+    with pytest.raises(ValueError, match=f"^({name}) "):
+        call(_BAD[case])
+    call([1.0, -1.0])  # the same entry answers a good vector
+
+
+def test_complex_lambda_is_still_a_spherical_parameter():
+    x = [1.0, -1.0]
+    lam = -1j * A1.rho
+    assert abs(spherical_psi(A1, lam, x).value - semicharacter(A1, x)) <= 1e-12
+    assert abs(spherical_phi(A1, lam, x).value - 1.0) <= 1e-12
+    assert spherical_phi_rows(A1, lam, [x]).value.shape == (1,)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def test_weyl_order(family, rank, order):
 def test_rank_guards(family, rank):
     with pytest.raises(RootSystemError):
         build_root_system(family, rank)
+
+
+@pytest.mark.parametrize("family, rank, named", [
+    ("A", True, "family A requires rank >= 1: rank must be an integer, got True"),
+    ("B", 2.5, "family B requires rank >= 2: rank must be an integer, got 2.5"),
+    ("D", "4", "family D requires rank >= 4: rank must be an integer, got '4'"),
+    ("C", 2, "family C requires rank >= 3: rank must be at least 3, got 2"),
+])
+def test_rank_takes_the_count_rule(family, rank, named):
+    with pytest.raises(RootSystemError, match=re.escape(named)):
+        build_root_system(family, rank)
+    rs = build_root_system("B", 3.0)
+    assert type(rs.rank) is int and rs.rank == 3 and rs.weyl_order == 48
 
 
 def test_weyl_elements_are_isometries():

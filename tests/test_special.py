@@ -297,6 +297,12 @@ def test_m1_mc_rejects_family_c():
     rs = build_root_system("C", 3)
     with pytest.raises(ValueError):
         m1_mc(rs, np.array([3.0, 2.0, 1.0]), 1000, substream(0, 0))
+    # the orbit sampler is the one place that refuses C, with the B<->C hint;
+    # at x = 0 nothing is sampled and the estimate is exactly m1(0) = 0
+    with pytest.raises(ValueError, match="coincides with family B"):
+        m1_mc(rs, [3.0, 2.0, 1.0], 1000, substream(0, 0))
+    est, se = m1_mc(rs, [0.0, 0.0, 0.0], 1000, substream(0, 0))
+    assert not est.any() and not se.any()
 
 
 def test_m1_expectation_mixture():
