@@ -57,7 +57,7 @@ def _parse_vector(text: str | None, name: str, rs) -> np.ndarray:
         raise SystemExit(f"error: {name} must be a JSON array of numbers: {exc}")
     if shape != (rs.ambient_dim,):
         raise SystemExit(f"error: {name} must hold {rs.ambient_dim} numbers, got shape {shape}")
-    return _check_vec(rs, v)
+    return _check_vec(rs, v, name=name)
 
 
 def _refuse_unused(args, command: str, *dests: str) -> None:
@@ -147,30 +147,22 @@ def cmd_check(args) -> int:
                    "lhs_re": res.lhs.real, "lhs_im": res.lhs.imag,
                    "rhs_re": res.rhs.real, "rhs_im": res.rhs.imag,
                    "stderr_lhs": res.stderr_lhs, "stderr_rhs": res.stderr_rhs}
-        passed = res.passed
     elif args.which == "semichar-mult":
-        mean, se, target = convolve.semicharacter_multiplicativity(
-            args.d, x, y, args.n, rng)
-        passed = abs(mean - target) <= 3.0 * se
-        payload = {"which": args.which, "pass": passed, "mean": mean,
-                   "stderr": se, "target": target}
+        res = convolve.semicharacter_multiplicativity(args.d, x, y, args.n, rng)
+        payload = {"which": args.which, "pass": res.passed, "mean": res.lhs,
+                   "stderr": res.stderr_lhs, "target": res.rhs}
     elif args.which == "support":
-        rep = convolve.support_equivalence(args.d, x, y, args.n, rng)
-        passed = rep.passed
-        payload = {"which": args.which, **json.loads(rep.to_json())}
+        res = convolve.support_equivalence(args.d, x, y, args.n, rng)
+        payload = {"which": args.which, **json.loads(res.to_json())}
     else:  # transform-homomorphism
         lam = _parse_vector(args.lam, "--lambda", rs)
-        cloud = convolve.conv_hermitian_cloud(args.d, x, y, args.n, rng)
-        measure = convolve.EmpiricalMeasure.uniform(cloud)
-        est, se = convolve.spherical_transform_empirical(measure, lam, "psi", rs)
-        target = spherical_psi(rs, lam, x).value * spherical_psi(rs, lam, y).value
-        passed = abs(est - target) <= 3.0 * se
-        payload = {"which": args.which, "pass": passed,
-                   "estimate_re": est.real, "estimate_im": est.imag,
-                   "stderr": se, "target_re": target.real,
-                   "target_im": target.imag}
+        res = convolve.transform_homomorphism(args.d, x, y, lam, args.n, rng)
+        payload = {"which": args.which, "pass": res.passed,
+                   "estimate_re": res.lhs.real, "estimate_im": res.lhs.imag,
+                   "stderr": res.stderr_lhs, "target_re": res.rhs.real,
+                   "target_im": res.rhs.imag}
     _emit(payload, manifest, args.out)
-    return 0 if passed else 1
+    return 0 if res.passed else 1
 
 
 def cmd_walk(args) -> int:

@@ -7,9 +7,9 @@ with U Haar in U(d).  The paper takes U Haar in SU(d); the laws agree,
 because a central phase e^{i theta} on U cancels in U diag(y) U* and leaves
 the singular values of e^diag(x) U e^diag(y) unchanged.  Both clouds run one
 chunked sampling loop and differ only in the spectrum map applied to each
-chunk of U draws.  On top of the samplers: the
-deformation-identity check, semicharacter multiplicativity, the
-support-equivalence test and the empirical spherical transform.
+chunk of U draws.  On top of the samplers: the deformation-identity check,
+semicharacter multiplicativity, the support-equivalence test, the empirical
+spherical transform and its homomorphism check.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .special import (
     log_semicharacter,
     log_semicharacter_rows,
     spherical_phi_rows,
+    spherical_psi,
     spherical_psi_rows,
 )
 
@@ -115,10 +116,19 @@ class SupportReport:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Two sides of an identity, each a Monte-Carlo mean or an exact value with
+    standard error 0.0.  ``z`` is |lhs - rhs| over the summed standard errors, and
+    the check passes when the sides are within 3 of them."""
+
     lhs: complex
     rhs: complex
     stderr_lhs: float
     stderr_rhs: float
+
+    @property
+    def z(self) -> float:
+        gap, se = abs(self.lhs - self.rhs), self.stderr_lhs + self.stderr_rhs
+        return gap / se if se else (math.inf if gap else 0.0)
 
     @property
     def passed(self) -> bool:
@@ -205,17 +215,27 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     return CheckResult(lhs, rhs, se_lhs, se_rhs)
 
 
-def semicharacter_multiplicativity(d: int, x, y, n: int, rng):
-    """MC mean of the semicharacter over delta_x * delta_y vs the product value.
-
-    Returns (mean, stderr, target) with target = psi(x) psi(y).
-    """
+def semicharacter_multiplicativity(d: int, x, y, n: int, rng) -> CheckResult:
+    """MC mean of the semicharacter over delta_x * delta_y (lhs) against the
+    exact product of its values at x and y (rhs)."""
     rs = build_root_system("A", d - 1)
     z = conv_hermitian_cloud(d, x, y, n, rng)
     vals = np.exp(log_semicharacter_rows(rs, z))
     mean, se = _mean_stderr(vals)
     target = math.exp(log_semicharacter(rs, x) + log_semicharacter(rs, y))
-    return mean.real, se, target
+    return CheckResult(mean.real, target, se, 0.0)
+
+
+def transform_homomorphism(d: int, x, y, lam, n: int, rng) -> CheckResult:
+    """The spherical transform of delta_x * delta_y at lambda, the mean of
+    conj(psi_lambda) over n Hermitian-cloud samples (lhs), against the product of
+    the transforms of delta_x and delta_y, the exact conj(psi_lambda(x) psi_lambda(y))."""
+    rs = build_root_system("A", d - 1)
+    lam = _check_vec(rs, lam, name="lambda")
+    cloud = conv_hermitian_cloud(d, x, y, n, rng)
+    est, se = spherical_transform_empirical(EmpiricalMeasure.uniform(cloud), lam, "psi", rs)
+    target = np.conj(spherical_psi(rs, lam, x).value * spherical_psi(rs, lam, y).value)
+    return CheckResult(est, complex(target), se, 0.0)
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:

@@ -139,7 +139,7 @@ def log_singular_spectrum(b) -> np.ndarray:
 # Orbit and biinvariant samplers
 
 
-def biinvariant_batch(xs, rng) -> np.ndarray:
+def _biinvariant_batch(xs, rng) -> np.ndarray:
     """U diag(e^x) V for each row x of ``xs``, shape (n, d, d).
 
     U and V are Haar in U(d), the U stack drawn first.  A central phase
@@ -155,14 +155,14 @@ def biinvariant_batch(xs, rng) -> np.ndarray:
 def sample_biinvariant(x, rng) -> np.ndarray:
     """One SL(d,C) element Z = U diag(e^x) V, SU(d)-biinvariant in law.
 
-    One row of `biinvariant_batch`, times the scalar e^{-i arg(det Z)/d} that
+    One row of `_biinvariant_batch`, times the scalar e^{-i arg(det Z)/d} that
     makes det Z = 1; the scalar is central, so the law is that of U, V Haar
     in SU(d), and log_singular_spectrum(Z) = x.
     """
     x = _check_real(x, 1, "chamber point")
     if abs(x.sum()) > 1e-9:
         raise ValueError("chamber point must have zero coordinate sum")
-    z = biinvariant_batch(x[None], rng)[0]
+    z = _biinvariant_batch(x[None], rng)[0]
     return z * np.exp(-1j * np.angle(np.linalg.det(z)) / x.shape[0])
 
 

@@ -94,11 +94,9 @@ def check_psi_vs_haar_mc(p, rng) -> CheckOutcome:
             lam = _random_regular_vec(rs, rng)
             v = w2 @ x
             mc, se = convolve._mean_stderr(np.exp(1j * (v @ lam)))
-            closed = spherical_psi(rs, lam, x).value
-            z = abs(closed - mc) / se
-            worst = max(worst, z)
-            if z > 3.0:
-                failures += 1
+            res = convolve.CheckResult(mc, spherical_psi(rs, lam, x).value, se, 0.0)
+            worst = max(worst, res.z)
+            failures += not res.passed
     return CheckOutcome("psi_vs_haar_mc", failures == 0,
                         {"worst_z": worst, "failures": failures})
 
@@ -194,10 +192,9 @@ def check_multiplicativity(p, rng) -> CheckOutcome:
     ok = True
     worst = 0.0
     for d, x, y in MULT_CASES:
-        mean, se, target = convolve.semicharacter_multiplicativity(d, x, y, p["n_conv"], rng)
-        z = abs(mean - target) / se
-        worst = max(worst, z)
-        ok &= z <= 3.0
+        res = convolve.semicharacter_multiplicativity(d, x, y, p["n_conv"], rng)
+        worst = max(worst, res.z)
+        ok &= res.passed
     return CheckOutcome("multiplicativity", ok, {"worst_z": worst})
 
 

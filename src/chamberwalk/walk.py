@@ -227,7 +227,7 @@ def run_group_walk(cfg: WalkConfig) -> WalkReport:
         acc = ProductAccumulator(cfg.d)
         traj = []
         for pos in range(0, cfg.n_steps, _CHUNK):
-            zs = np.stack([kernels.biinvariant_batch(cfg.atoms[ix[pos : pos + _CHUNK]], rng)
+            zs = np.stack([kernels._biinvariant_batch(cfg.atoms[ix[pos : pos + _CHUNK]], rng)
                            for ix, rng in zip(idx, rngs)], axis=1)
             for step, z in enumerate(zs, start=pos + 1):
                 acc.update(z)
@@ -334,7 +334,7 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
     idx = rng_g.choice(len(cfg.weights), size=(reps, n), p=cfg.weights)
     acc = ProductAccumulator(d)
     for step in range(n):
-        acc.update(kernels.biinvariant_batch(cfg.atoms[idx[:, step]], rng_g))
+        acc.update(kernels._biinvariant_batch(cfg.atoms[idx[:, step]], rng_g))
     q_logs = acc.readout()
 
     # Euclidean side: sums of tilted orbit samples

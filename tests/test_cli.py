@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from chamberwalk import convolve
 from chamberwalk.cli import main
+from chamberwalk.walk import substream
 
 
 def run_cli(capsys, *argv):
@@ -87,12 +89,14 @@ def test_sample_size_below_one_exits_2(argv, capsys, recwarn):
     ["eval", "phi", "A", "1", "--x", "[1,-1]", "--lambda", "[Infinity,-1]"],
     ["eval", "semichar", "A", "1", "--x", "[NaN,0]"],
     ["eval", "m1", "A", "2", "--x", "[Infinity,0,-1]"],
+    ["check", "deformation", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]", "--lambda", "[NaN,0]"],
 ])
 def test_non_finite_vectors_exit_2(argv, capsys, recwarn):
+    flag = next(argv[i - 1] for i, a in enumerate(argv) if "NaN" in a or "Infinity" in a)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: vector has non-finite entries\n", captured.err
+    assert captured.err == f"error: {flag} has non-finite entries\n", captured.err
     assert not recwarn.list
 
 
@@ -152,6 +156,52 @@ def test_check_transform_homomorphism(capsys):
                         "--lambda", "[0.6,-0.6]", "--n", "3000", "--seed", "2")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def test_check_transform_homomorphism_where_psi_is_complex(capsys):
+    # at d = 3 psi_lambda is not real: the estimate, a mean of conj(psi_lambda),
+    # meets conj(psi_lambda(x) psi_lambda(y)) and not its conjugate
+    code, out = run_cli(capsys, "check", "transform-homomorphism", "--d", "3",
+                        "--x", "[1.5,0.5,-2]", "--y", "[1,0.2,-1.2]",
+                        "--lambda", "[1.2,0.3,-1.5]", "--n", "100000", "--seed", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert abs(data["target_im"]) > 100 * data["stderr"]
+    assert abs(data["estimate_im"] - data["target_im"]) <= 3.0 * data["stderr"]
+
+
+_CHECKS = {
+    "deformation": (2, [1.0, -1.0], [0.5, -0.5], [0.6, -0.6], 2_000),
+    "semichar-mult": (2, [1.0, -1.0], [1.0, -1.0], None, 2_000),
+    "support": (3, [1.0, 0.0, -1.0], [0.5, 0.0, -0.5], None, 500),
+    "transform-homomorphism": (3, [1.5, 0.5, -2.0], [1.0, 0.2, -1.2], [1.2, 0.3, -1.5], 2_000),
+}
+
+
+def _library_check(which, d, x, y, lam, n, rng):
+    if which == "deformation":
+        return convolve.deformation_check(d, x, y, ("phi", lam), n, rng)
+    if which == "semichar-mult":
+        return convolve.semicharacter_multiplicativity(d, x, y, n, rng)
+    if which == "support":
+        return convolve.support_equivalence(d, x, y, n, rng)
+    return convolve.transform_homomorphism(d, x, y, lam, n, rng)
+
+
+@pytest.mark.parametrize("which", sorted(_CHECKS))
+def test_check_verdict_is_the_library_verdict(which, capsys):
+    """The exit code and "pass" of each check are .passed of its library call."""
+    d, x, y, lam, n = _CHECKS[which]
+    seed = 3
+    argv = ["check", which, "--d", str(d), "--x", json.dumps(x), "--y", json.dumps(y),
+            "--n", str(n), "--seed", str(seed)]
+    if lam is not None:
+        argv += ["--lambda", json.dumps(lam)]
+    code, out = run_cli(capsys, *argv)
+    passed = _library_check(which, d, x, y, lam, n, substream(seed, 0)).passed
+    assert json.loads(out)["pass"] is passed
+    assert code == (0 if passed else 1)
 
 
 def test_walk_command_with_flags(tmp_path, capsys):
@@ -363,16 +413,16 @@ def test_walk_manifest_records_the_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["eval", "semichar", "A", "1", "--x", "[true,-1]"],
-     "error: vector must be a 1-d array of numbers, real and not bool"),
+     "error: --x must be a 1-d array of numbers, real and not bool"),
     (["eval", "semichar", "A", "1", "--x", '["1","-1"]'],
-     "error: vector must be a 1-d array of numbers, real and not bool"),
+     "error: --x must be a 1-d array of numbers, real and not bool"),
     (["eval", "psi", "A", "1", "--x", "[1,-1]", "--lambda", "[false,0]"],
-     "error: vector must be a 1-d array of numbers, real and not bool"),
+     "error: --lambda must be a 1-d array of numbers, real and not bool"),
     (["convolve", "group", "--d", "2", "--x", "[1,-1]", "--y", '["0.5",-0.5]'],
-     "error: vector must be a 1-d array of numbers, real and not bool"),
+     "error: --y must be a 1-d array of numbers, real and not bool"),
     (["check", "deformation", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]",
-      "--lambda", "[true,false]"], "error: vector must be a 1-d array of numbers"),
-    (["walk", "--x", "[1,true]"], "error: vector must be a 1-d array of numbers"),
+      "--lambda", "[true,false]"], "error: --lambda must be a 1-d array of numbers"),
+    (["walk", "--x", "[1,true]"], "error: --x must be a 1-d array of numbers"),
     (["walk", "--x", "[1,[2]]"], "error: --x must be a JSON array of numbers"),
 ])
 def test_command_line_vectors_take_numbers_by_the_library_rule(argv, message, capsys):

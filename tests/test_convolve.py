@@ -276,7 +276,8 @@ def test_deformation_identity_atom_exact():
 
 def test_semicharacter_multiplicativity_value():
     rng = substream(1, 9)
-    mean, se, target = semicharacter_multiplicativity(2, [1.0, -1.0], [1.0, -1.0], 50_000, rng)
+    res = semicharacter_multiplicativity(2, [1.0, -1.0], [1.0, -1.0], 50_000, rng)
+    mean, se, target = res.lhs, res.stderr_lhs, res.rhs
     assert np.isclose(target, math.sinh(2.0) ** 2 / 4.0)
     assert np.isclose(target, 3.2885290)
     assert abs(mean - target) <= 3.0 * se
@@ -285,7 +286,8 @@ def test_semicharacter_multiplicativity_value():
 def test_semicharacter_multiplicativity_identity_atom():
     rng = substream(1, 10)
     rs = build_root_system("A", 1)
-    mean, se, target = semicharacter_multiplicativity(2, [1.0, -1.0], [0.0, 0.0], 500, rng)
+    res = semicharacter_multiplicativity(2, [1.0, -1.0], [0.0, 0.0], 500, rng)
+    mean, se, target = res.lhs, res.stderr_lhs, res.rhs
     assert np.isclose(mean, semicharacter(rs, [1.0, -1.0]))
     assert se < 1e-12
 

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 
 from chamberwalk.kernels import (
+    _biinvariant_batch,
     _positive_qr_q,
-    biinvariant_batch,
     block_embed,
     haar_orthogonal_batch,
     haar_unitary_batch,
@@ -102,7 +102,7 @@ def test_biinvariant_batch_stream_layout():
     # the U stack, then the V stack, from the caller's generator and nothing else
     xs = np.array([[0.5, 0.0, -0.5], [1.0, -0.2, -0.8], [0.0, 0.0, 0.0]])
     rng = substream(6, 400)
-    z = biinvariant_batch(xs, rng)
+    z = _biinvariant_batch(xs, rng)
     ref_rng = substream(6, 400)
     u = haar_unitary_batch(3, 3, ref_rng)
     v = haar_unitary_batch(3, 3, ref_rng)

@@ -7,7 +7,8 @@ import pytest
 import chamberwalk
 from chamberwalk.convolve import (EmpiricalMeasure, conv_group_cloud, conv_hermitian_cloud,
                                   deformation_check, semicharacter_multiplicativity,
-                                  spherical_transform_empirical, support_equivalence)
+                                  spherical_transform_empirical, support_equivalence,
+                                  transform_homomorphism)
 from chamberwalk.kernels import block_embed, orbit_diagonal_batch, sample_biinvariant
 from chamberwalk.roots import build_root_system, chamber_project, min_root_pairing
 from chamberwalk.special import (log_semicharacter_rows, m1_closed, m1_closed_rows,
@@ -116,6 +117,8 @@ _VECTOR_ENTRIES = [
     ("spherical_transform_empirical",
      lambda v: spherical_transform_empirical(EmpiricalMeasure.uniform([[1.0, -1.0]]), v,
                                              "psi"), "lambda", ()),
+    ("transform_homomorphism-lambda",
+     lambda v: transform_homomorphism(2, [1.0, -1.0], [1.0, -1.0], v, 10, _rng()), "lambda", ()),
     ("EmpiricalMeasure.uniform", lambda v: EmpiricalMeasure.uniform([v]), "atoms",
      ("length",)),  # a measure takes its dimension from its atoms
     ("rejection_rate", lambda v: rejection_rate(A1, v), "x", ()),
