@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kernels
 from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_vec,
@@ -41,6 +40,8 @@ _CHUNK = 50_000
 _SELF_SPLITS = 4
 #: rows formatted per write by `EmpiricalMeasure.write_csv`
 _CSV_BLOCK = 4096
+#: gap between the sides of a `CheckResult`, in eps of the larger side, that is rounding
+_ROUNDING_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,9 @@ class SupportReport:
 class CheckResult:
     """Two sides of an identity, each a Monte-Carlo mean or an exact value with
     standard error 0.0.  ``z`` is |lhs - rhs| over the summed standard errors, and
-    the check passes when the sides are within 3 of them."""
+    the check passes when the sides are within 3 of them.  A gap of at most
+    `_ROUNDING_ULPS` eps max(|lhs|, |rhs|) is rounding and counts as 0 in both: at a
+    degenerate point (x or y = 0) the cloud is constant and the identity exact."""
 
     lhs: complex
     rhs: complex
@@ -126,13 +129,19 @@ class CheckResult:
     stderr_rhs: float
 
     @property
+    def _gap(self) -> float:
+        gap = abs(self.lhs - self.rhs)
+        scale = max(abs(self.lhs), abs(self.rhs))
+        return 0.0 if gap <= _ROUNDING_ULPS * np.finfo(float).eps * scale else gap
+
+    @property
     def z(self) -> float:
-        gap, se = abs(self.lhs - self.rhs), self.stderr_lhs + self.stderr_rhs
+        gap, se = self._gap, self.stderr_lhs + self.stderr_rhs
         return gap / se if se else (math.inf if gap else 0.0)
 
     @property
     def passed(self) -> bool:
-        return abs(self.lhs - self.rhs) <= 3.0 * (self.stderr_lhs + self.stderr_rhs)
+        return self._gap <= 3.0 * (self.stderr_lhs + self.stderr_rhs)
 
 
 def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
@@ -239,6 +248,9 @@ def transform_homomorphism(d: int, x, y, lam, n: int, rng) -> CheckResult:
 
 
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    # imported here so that only the support check pays scipy's import time
+    from scipy.spatial import cKDTree
+
     ta = cKDTree(a)
     tb = cKDTree(b)
     return float(max(tb.query(a)[0].max(), ta.query(b)[0].max()))

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import kernels
 from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_vec,
@@ -307,6 +306,21 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
     return out, proposed
 
 
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance of two samples of one size n.
+
+    The largest gap between the counts of a and of b at or below a pooled
+    point, divided once by n: exactly scipy's ``ks_2samp`` statistic up to
+    n = 10000, where scipy rounds it to h/n.  Above that scipy does not
+    round; it subtracts the two empirical CDFs as floats, up to 80 ulps off
+    this value on 200 random pairs.
+    """
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    gap = np.searchsorted(a, pooled, side="right") - np.searchsorted(b, pooled, side="right")
+    return float(np.abs(gap).max()) / a.size
+
+
 @dataclass
 class CrosscheckReport:
     ks_distances: list[float]
@@ -323,7 +337,8 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
 
     Runs both walks over cfg.n_replicas replicas of cfg.n_steps steps and
     compares the per-coordinate empirical laws of q(S_n) and p(T_n) by
-    two-sample Kolmogorov-Smirnov distances.
+    two-sample Kolmogorov-Smirnov distances, computed in integer counts
+    (`_ks_distance`).
     """
     if cfg.n_steps > 200:
         raise ValueError("crosscheck is a short-horizon tool; n_steps <= 200")
@@ -348,6 +363,6 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
             np.add.at(total, np.repeat(np.arange(reps), per_rep), mats)
     p_vals = np.linalg.eigvalsh(total)[:, ::-1]
 
-    ks = [float(ks_2samp(q_logs[:, i], p_vals[:, i]).statistic) for i in range(d)]
+    ks = [_ks_distance(q_logs[:, i], p_vals[:, i]) for i in range(d)]
     crit = KS_COEFF_1PCT * math.sqrt(2.0 / reps)
     return CrosscheckReport(ks, crit, reps)

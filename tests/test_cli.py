@@ -171,6 +171,16 @@ def test_check_transform_homomorphism_where_psi_is_complex(capsys):
     assert abs(data["estimate_im"] - data["target_im"]) <= 3.0 * data["stderr"]
 
 
+@pytest.mark.parametrize("which, lam", [("semichar-mult", None),
+                                         ("transform-homomorphism", "[0.7,-0.7]")])
+def test_exact_side_check_passes_at_a_degenerate_point(which, lam, capsys):
+    # delta_x * delta_0 = delta_x makes the identity exact
+    argv = ["check", which, "--d", "2", "--x", "[1,-1]", "--y", "[0,0]", "--n", "1000"]
+    code, out = run_cli(capsys, *argv, *(["--lambda", lam] if lam else []))
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 _CHECKS = {
     "deformation": (2, [1.0, -1.0], [0.5, -0.5], [0.6, -0.6], 2_000),
     "semichar-mult": (2, [1.0, -1.0], [1.0, -1.0], None, 2_000),

@@ -9,6 +9,7 @@ from scipy.stats import kstest
 
 from chamberwalk import convolve, kernels
 from chamberwalk.convolve import (
+    CheckResult,
     EmpiricalMeasure,
     conv_group_cloud,
     conv_hermitian_cloud,
@@ -16,6 +17,7 @@ from chamberwalk.convolve import (
     semicharacter_multiplicativity,
     spherical_transform_empirical,
     support_equivalence,
+    transform_homomorphism,
 )
 from chamberwalk.roots import build_root_system, in_chamber
 from chamberwalk.special import semicharacter, spherical_phi, spherical_psi
@@ -290,6 +292,32 @@ def test_semicharacter_multiplicativity_identity_atom():
     mean, se, target = res.lhs, res.stderr_lhs, res.rhs
     assert np.isclose(mean, semicharacter(rs, [1.0, -1.0]))
     assert se < 1e-12
+
+
+@pytest.mark.parametrize("n", [10, 1_000, 100_000])
+@pytest.mark.parametrize("d, x, y", [
+    (2, [1.0, -1.0], [0.0, 0.0]),
+    (3, [1.5, 0.5, -2.0], [0.0, 0.0, 0.0]),
+    (2, [0.0, 0.0], [1.0, -1.0]),
+])
+def test_exact_side_checks_pass_at_a_degenerate_point(d, x, y, n):
+    """delta_x * delta_0 = delta_x: the cloud is constant and the identity exact, so
+    the gap between the sides is rounding and counts as 0."""
+    lam = [0.7, -0.7] if d == 2 else [1.2, 0.3, -1.5]
+    for res in (semicharacter_multiplicativity(d, x, y, n, substream(n, 0)),
+                transform_homomorphism(d, x, y, lam, n, substream(n, 1))):
+        assert res.passed and res.z == 0.0, res
+
+
+def test_check_result_rounding_floor():
+    eps = np.finfo(float).eps
+    at_floor = CheckResult(4.0, 4.0 + 16 * eps * 4.0, 0.0, 0.0)
+    assert at_floor.passed and at_floor.z == 0.0
+    above = CheckResult(4.0, 4.0 + 32 * eps * 4.0, 0.0, 0.0)
+    assert not above.passed and above.z == math.inf
+    # every larger gap keeps gap / (summed standard errors), bit for bit
+    res = CheckResult(1.0 + 0.5j, 1.25, 0.1, 0.05)
+    assert res.z == abs(res.lhs - res.rhs) / (0.1 + 0.05) and not res.passed
 
 
 def test_support_equivalence_identity_atom():

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -144,3 +148,13 @@ def test_complex_lambda_is_still_a_spherical_parameter():
     assert abs(spherical_psi(A1, lam, x).value - semicharacter(A1, x)) <= 1e-12
     assert abs(spherical_phi(A1, lam, x).value - 1.0) <= 1e-12
     assert spherical_phi_rows(A1, lam, [x]).value.shape == (1,)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """Start-up stays light: only the support check loads scipy, when it runs."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, chamberwalk.cli; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert json.loads(out) == []

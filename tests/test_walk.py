@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.stats import theilslopes
+from scipy.stats import ks_2samp, theilslopes
 
 from chamberwalk import kernels, walk
 from chamberwalk.roots import build_root_system
@@ -380,6 +380,42 @@ def test_crosscheck_passes_at_wide_spread(x, n_steps, reps):
     rep = euclidean_walk_crosscheck(cfg)
     assert all(math.isfinite(k) for k in rep.ks_distances)
     assert rep.passed, rep.ks_distances
+
+
+def _ks_pair(kind, n, rng):
+    a = rng.normal(size=n)
+    if kind == "continuous":
+        return a, rng.normal(0.1, 1.0, size=n)
+    if kind == "ties":
+        return np.round(a, 1), np.round(rng.normal(0.05, 1.0, size=n), 1)
+    if kind == "identical":
+        return a, rng.permutation(a)
+    return a, a + 100.0  # disjoint
+
+
+# at small n scipy's exact p-value can fail; it warns and keeps the rounded statistic
+@pytest.mark.filterwarnings("ignore:ks_2samp. Exact calculation unsuccessful:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 7, 500, 2_000, 10_000])
+@pytest.mark.parametrize("kind", ["continuous", "ties", "identical", "disjoint"])
+def test_ks_distance_is_scipys_statistic(kind, n):
+    """Up to n = 10000 scipy rounds its statistic to h/n; the count form has those bits."""
+    rng = substream(n, 0)
+    for _ in range(10):
+        a, b = _ks_pair(kind, n, rng)
+        ks = walk._ks_distance(a, b)
+        assert ks == float(ks_2samp(a, b).statistic)
+        assert ks == {"identical": 0.0, "disjoint": 1.0}.get(kind, ks)
+
+
+def test_crosscheck_false_alarm_keeps_its_distances():
+    """The one crosscheck the benchmark counts as failed: a 1% gate on three
+    coordinates rejects this seed.  A change to the crosscheck stream, the tilted
+    sampler, the accumulator or the KS distance moves these numbers."""
+    cfg = WalkConfig(d=3, atoms=[[1.0, 0.0, -1.0]], weights=[1.0], n_steps=50,
+                     n_replicas=500, seed=14)
+    rep = euclidean_walk_crosscheck(cfg)
+    assert rep.ks_distances == [0.078, 0.108, 0.032]
+    assert rep.passed is False
 
 
 def test_crosscheck_horizon_guard():
