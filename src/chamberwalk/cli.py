@@ -3,7 +3,8 @@
 Subcommands expose every library operation with reproducible seeds and
 machine-readable output (JSON summaries, CSV point clouds/trajectories).
 
-Exit codes: 0 success, 1 verification-check failure, 2 usage error.
+Exit codes: 0 success, 1 verification-check failure, 2 usage error or a
+non-finite result (nothing is written then).
 
 CSV formats (every field reads back with float(); the files that
 ``convolve --out`` and ``walk --out`` write start with a line
@@ -70,7 +71,7 @@ def _refuse_unused(args, command: str, *dests: str) -> None:
 def _emit(payload: dict, manifest: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["manifest"] = manifest
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"  # NaN or inf: ValueError, exit 2
     if out:
         Path(out).write_text(text)
     else:
@@ -200,6 +201,7 @@ def cmd_selftest(args) -> int:
     outcomes, report = run_selftest(args.level, args.seed, out_dir)
     for o in outcomes:
         print(f"{'PASS' if o.passed else 'FAIL'}  {o.name}")
+        print(f"{o.seconds:8.3f}s  {o.name}", file=sys.stderr)
     print(f"report written to {out_dir}/selftest_report.json")
     return 0 if report["pass"] else 1
 

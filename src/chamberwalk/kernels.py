@@ -2,10 +2,10 @@
 
 Family A lives on traceless Hermitian matrices (conjugation by SU(d)) and on
 SL(d, C) (the biinvariant side).  Families B and D are realized on real
-antisymmetric matrices conjugated by SO(m), via the block embedding
-x -> blockdiag([[0, x_j], [-x_j, 0]], ...) with a zero padding row for B.
-Family C deliberately has no matrix realization here; its spherical data
-coincides with family B.
+antisymmetric matrices Q iota(x) Q^T, Q in SO(m), iota(x) = blockdiag([[0, x_j],
+[-x_j, 0]], ...) with a zero padding row for B.  Family C uses B's orbit: psi_B =
+psi_C, so their projected orbit measures are equal.  `orbit_maps` turns a Haar
+draw into chamber coordinates, linear in x, for every family.
 
 Single-matrix spectra are one LAPACK call each (numpy's eigvalsh and svd),
 behind the validation of the maps p and q; the tests check q against
@@ -166,34 +166,27 @@ def sample_biinvariant(x, rng) -> np.ndarray:
     return z * np.exp(-1j * np.angle(np.linalg.det(z)) / x.shape[0])
 
 
-def block_embed(rs: RootSystem, x) -> np.ndarray:
-    """Antisymmetric block embedding of a B/D chamber point."""
-    x = _check_vec(rs, x, name="x")
-    n = rs.rank
-    m = 2 * n + (1 if rs.family == "B" else 0)
-    a = np.zeros((m, m))
-    for j in range(n):
-        a[2 * j, 2 * j + 1] = x[j]
-        a[2 * j + 1, 2 * j] = -x[j]
-    return a
+def orbit_maps(rs: RootSystem, n: int, rng) -> np.ndarray:
+    """n Haar orbit maps M, shape (n, dim, dim): k.x has chamber coordinates M @ x.
+
+    For A, M = |U|^2 with U Haar in U(d): the diagonal of U diag(x) U*, blind
+    to the SU(d) phase correction.  For B, C and D, M[j, k] is the 2x2 minor
+    det Q[{2j, 2j+1}, {2k, 2k+1}] of Q Haar in SO(m), which is the block
+    coordinate (Q iota(x) Q^T)[2j, 2j+1]; C draws B's SO(2n + 1).
+    """
+    n = _check_count(n, 0, "sample size n")
+    if rs.family == "A":
+        return np.abs(haar_unitary_batch(rs.ambient_dim, n, rng)) ** 2
+    k = 2 * rs.rank
+    q = haar_orthogonal_batch(k if rs.family == "D" else k + 1, n, rng)[:, :k, :k]
+    return q[:, ::2, ::2] * q[:, 1::2, 1::2] - q[:, ::2, 1::2] * q[:, 1::2, ::2]
 
 
 def orbit_diagonal_batch(rs: RootSystem, x, n: int, rng) -> np.ndarray:
-    """Chamber-coordinate projections of n Haar orbit samples, shape (n, dim).
+    """Chamber coordinates of n Haar orbit samples, shape (n, dim): `orbit_maps` @ x.
 
-    For A these are the matrix diagonals |U|^2 x, with U Haar in U(d): the
-    SU(d) phase correction cannot change |U|^2.  For B/D they are the block
-    coordinates A[2j, 2j+1] of Q iota(x) Q^T.
+    That is the diagonal |U|^2 x of U diag(x) U* for A, and for B, C and D the
+    block coordinates (Q iota(x) Q^T)[2j, 2j+1], read as 2x2 minors of Q.
     """
-    if rs.family == "C":
-        raise ValueError("family C has no matrix orbit realization; its spherical data "
-                         "coincides with family B (B<->C identity)")
-    x, n = _check_vec(rs, x, name="x"), _check_count(n, 0, "sample size n")
-    if rs.family == "A":
-        u = haar_unitary_batch(rs.ambient_dim, n, rng)
-        return np.abs(u) ** 2 @ x
-    a = block_embed(rs, x)
-    q = haar_orthogonal_batch(a.shape[0], n, rng)
-    a = q @ a @ np.transpose(q, (0, 2, 1))
-    idx = 2 * np.arange(rs.rank)
-    return a[:, idx, idx + 1]
+    x = _check_vec(rs, x, name="x")
+    return orbit_maps(rs, n, rng) @ x

@@ -308,6 +308,8 @@ def m1_closed(rs: RootSystem, x) -> np.ndarray:
 
     Alternating-sum closed form; exact 0 at x = 0, and within EPS_REG of a
     chamber wall the contour rule's mean over a circle of x + zeta rho/|rho|.
+    That claim fails at small scale in rank >= 3, where the sums cancel below
+    double precision, as a strict xfail pins on D4 (ROADMAP direction 1).
     """
     return _kernel(rs, "m1", None, _check_vec(rs, x)[None, :])[0][0]
 
@@ -315,10 +317,10 @@ def m1_closed(rs: RootSystem, x) -> np.ndarray:
 def m1_mc(rs: RootSystem, x, n: int, rng):
     """Monte-Carlo estimate of m1(x) from the defining orbit integral.
 
-    Averages (k.x) * exp(<rho, k.x>) over Haar-random orbit elements and
-    divides by the closed-form semicharacter.  Returns (estimate, stderr),
-    both per coordinate.  Families A, B and D have matrix realizations; family C
-    (use the B<->C spherical-function identity) is refused unless x = 0.
+    Averages (k.x) * exp(<rho, k.x>) over `kernels.orbit_diagonal_batch`, one
+    orbit map for every family, and divides by the closed-form semicharacter;
+    family C samples B's orbit (psi_B = psi_C) weighted by C's rho.  Returns
+    (estimate, stderr), both per coordinate, exact zeros at x = 0.
     """
     x = _check_vec(rs, x)
     n = _check_count(n, 1, "sample size n")

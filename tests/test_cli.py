@@ -100,6 +100,35 @@ def test_non_finite_vectors_exit_2(argv, capsys, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
+    # m1 cancels to a division by zero at this small B3 point; JSON has no
+    # infinity, so the command refuses rather than print invalid JSON
+    argv = ["eval", "m1", "B", "3", "--x", "[0.0065,0.0035,0.0012]"]
+    out = tmp_path / "m1.json"
+    for extra in ([], ["--out", str(out)]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert captured.err.startswith(
+            "error: Out of range float values are not JSON compliant"), captured.err
+    assert not out.exists()
+
+
+def test_selftest_times_each_check_on_stderr(tmp_path, capsys):
+    assert main(["selftest", "--level", "fast", "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    verdicts = captured.out.splitlines()
+    assert len(verdicts) == 13 and verdicts[-1].startswith("report written to")
+    assert all(line.startswith("PASS  ") for line in verdicts[:12])
+    timed = [line.split() for line in captured.err.splitlines()[:12]]
+    assert [t[1] for t in timed] == [line.split()[1] for line in verdicts[:12]]
+    assert all(t[0].endswith("s") and float(t[0][:-1]) >= 0.0 for t in timed)
+    # wall times stay out of the artifacts, which are byte-identical across reruns
+    assert "seconds" not in (tmp_path / "selftest_report.json").read_text()
+
+
 def test_unknown_family_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["rho", "E", "6"])

@@ -8,12 +8,12 @@ import scipy.linalg
 from chamberwalk.kernels import (
     _biinvariant_batch,
     _positive_qr_q,
-    block_embed,
     haar_orthogonal_batch,
     haar_unitary_batch,
     hermitian_spectrum,
     log_singular_spectrum,
     orbit_diagonal_batch,
+    orbit_maps,
     sample_biinvariant,
 )
 from chamberwalk.convolve import conv_hermitian_cloud
@@ -127,14 +127,13 @@ def test_sample_biinvariant_singular_values():
         assert np.isclose(abs(np.linalg.det(z)), 1.0)  # SL(d, C)
 
 
-def test_block_embed_antisymmetric():
-    for fam, rank in [("B", 2), ("D", 4)]:
-        rs = build_root_system(fam, rank)
-        x = np.arange(rank, 0, -1, dtype=float)
-        a = block_embed(rs, x)
-        m = 2 * rank + 1 if fam == "B" else 2 * rank
-        assert a.shape == (m, m)
-        assert np.allclose(a + a.T, 0.0)
+def _block_embed(rs, x):
+    # iota(x) = blockdiag([[0, x_j], [-x_j, 0]], ...), with a zero padding row for B
+    m = 2 * rs.rank + (1 if rs.family == "B" else 0)
+    a = np.zeros((m, m))
+    for j, xj in enumerate(x):
+        a[2 * j, 2 * j + 1], a[2 * j + 1, 2 * j] = xj, -xj
+    return a
 
 
 def _sample_orbit(rs, x, rng):
@@ -145,7 +144,7 @@ def _sample_orbit(rs, x, rng):
         u = haar_unitary_batch(x.shape[0], 1, rng)[0]
         return (u * x[None, :]) @ u.conj().T
     q = haar_orthogonal_batch(2 * rs.rank + (1 if rs.family == "B" else 0), 1, rng)[0]
-    return q @ block_embed(rs, x) @ q.T
+    return q @ _block_embed(rs, x) @ q.T
 
 
 def _orbit_chamber(rs, a):
@@ -175,10 +174,40 @@ def test_orbit_chamber_recovers_projection(family, rank):
         assert np.allclose(rec, x, atol=1e-8)
 
 
-def test_orbit_rejected_for_family_c():
-    rs = build_root_system("C", 3)
-    with pytest.raises(ValueError):
-        orbit_diagonal_batch(rs, np.array([3.0, 2.0, 1.0]), 10, substream(0, 9))
+@pytest.mark.parametrize("family, x", [
+    ("B", [1.2, 0.7, 0.3]),
+    ("B", [1.1, 0.8, 0.5, 0.3]),
+    ("D", [1.1, 0.8, 0.5, -0.3]),
+    ("D", [1.3, 0.9, 0.6, 0.4, 0.2]),
+])
+def test_orbit_maps_read_the_conjugated_block_coordinates(family, x):
+    # M @ x is (Q iota(x) Q^T)[2j, 2j+1] on the same Haar Q, the D point with a
+    # negative last coordinate included
+    rs = build_root_system(family, len(x))
+    m = 2 * rs.rank + (1 if family == "B" else 0)
+    x = np.array(x)
+    q = haar_orthogonal_batch(m, 200, substream(0, 9))
+    a = q @ _block_embed(rs, x) @ np.swapaxes(q, 1, 2)
+    idx = 2 * np.arange(rs.rank)
+    expected = a[:, idx, idx + 1]
+    got = orbit_maps(rs, 200, substream(0, 9)) @ x
+    assert np.abs(got - expected).max() <= 1e-14 * np.linalg.norm(x)
+    assert np.array_equal(orbit_diagonal_batch(rs, x, 200, substream(0, 9)), got)
+
+
+def test_orbit_maps_of_a_are_the_squared_unitary_moduli():
+    for d in (2, 3, 4):
+        rs = build_root_system("A", d - 1)
+        u = haar_unitary_batch(d, 500, substream(1, d))
+        assert np.array_equal(orbit_maps(rs, 500, substream(1, d)), np.abs(u) ** 2)
+
+
+def test_family_c_orbit_is_the_b_orbit():
+    # psi_B = psi_C, so C draws B's SO(2n + 1) orbit of the same rank
+    for rank in (3, 4):
+        rb, rc = build_root_system("B", rank), build_root_system("C", rank)
+        assert np.array_equal(orbit_maps(rc, 50, substream(0, 9)),
+                              orbit_maps(rb, 50, substream(0, 9)))
 
 
 def test_orbit_diagonal_batch_a_family():

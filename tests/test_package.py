@@ -13,7 +13,7 @@ from chamberwalk.convolve import (EmpiricalMeasure, conv_group_cloud, conv_hermi
                                   deformation_check, semicharacter_multiplicativity,
                                   spherical_transform_empirical, support_equivalence,
                                   transform_homomorphism)
-from chamberwalk.kernels import block_embed, orbit_diagonal_batch, sample_biinvariant
+from chamberwalk.kernels import orbit_diagonal_batch, sample_biinvariant
 from chamberwalk.roots import build_root_system, chamber_project, min_root_pairing
 from chamberwalk.special import (log_semicharacter_rows, m1_closed, m1_closed_rows,
                                  m1_expectation, m1_mc, semicharacter, spherical_phi,
@@ -78,7 +78,7 @@ def test_only_roots_converts_an_argument():
     assert offenders == []
 
 
-A1, B2 = build_root_system("A", 1), build_root_system("B", 2)
+A1 = build_root_system("A", 1)
 _BAD = {"bool": [True, -1], "string": ["1", "-1"], "complex": [1 + 0j, -1],
         "nan": [np.nan, -1.0], "length": [1.0, 0.0, -1.0]}
 
@@ -106,7 +106,6 @@ _VECTOR_ENTRIES = [
     ("m1_expectation", lambda v: m1_expectation(A1, [v], [1.0]), "atoms", ()),
     ("sample_biinvariant", lambda v: sample_biinvariant(v, _rng()), "chamber point",
      ("length",)),  # any length of at least 2 is a chamber point of some A_n
-    ("block_embed", lambda v: block_embed(B2, v), "x", ()),
     ("orbit_diagonal_batch", lambda v: orbit_diagonal_batch(A1, v, 4, _rng()), "x", ()),
     ("conv_hermitian_cloud",
      lambda v: conv_hermitian_cloud(2, v, [1.0, -1.0], 10, _rng()), "x", ()),

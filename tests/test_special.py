@@ -268,8 +268,8 @@ def test_m1_mc_oracle():
         est, se = m1_mc(rs, x, 300_000, rng)
         closed = m1_closed(rs, x)
         assert np.all(np.abs(est - closed) <= 4.0 * se)
-    # B and D go through the SO(m) block embedding, and the sign of D's last
-    # coordinate is an orbit invariant that the embedding must carry
+    # B and D read 2x2 minors of a Haar SO(m) draw, and the sign of D's last
+    # coordinate is an orbit invariant that the minors must carry
     for fam, x in [("B", [1.0, 0.4]), ("B", [1.2, 0.7, 0.3]),
                    ("D", [1.1, 0.8, 0.5, 0.3]), ("D", [1.1, 0.8, 0.5, -0.3])]:
         rs = build_root_system(fam, len(x))
@@ -293,15 +293,15 @@ def test_m1_mc_rejects_a_non_integer_sample_size(n):
         m1_mc(rs, [1.0, 0.0, -1.0], n, substream(0, 0))
 
 
-def test_m1_mc_rejects_family_c():
-    rs = build_root_system("C", 3)
-    with pytest.raises(ValueError):
-        m1_mc(rs, np.array([3.0, 2.0, 1.0]), 1000, substream(0, 0))
-    # the orbit sampler is the one place that refuses C, with the B<->C hint;
+def test_m1_mc_answers_family_c():
+    # C samples B's orbit (psi_B = psi_C) weighted by C's rho
+    rng = substream(22, 0)
+    for x in ([1.2, 0.7, 0.3], [0.9, 0.5, 0.1], [1.1, 0.8, 0.5, 0.3]):
+        rs = build_root_system("C", len(x))
+        est, se = m1_mc(rs, x, 100_000, rng)
+        assert np.all(np.abs(est - m1_closed(rs, x)) <= 4.0 * se)
     # at x = 0 nothing is sampled and the estimate is exactly m1(0) = 0
-    with pytest.raises(ValueError, match="coincides with family B"):
-        m1_mc(rs, [3.0, 2.0, 1.0], 1000, substream(0, 0))
-    est, se = m1_mc(rs, [0.0, 0.0, 0.0], 1000, substream(0, 0))
+    est, se = m1_mc(build_root_system("C", 3), [0.0, 0.0, 0.0], 1000, substream(0, 0))
     assert not est.any() and not se.any()
 
 
