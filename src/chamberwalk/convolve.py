@@ -196,13 +196,6 @@ def _test_function(rs: RootSystem, f):
     raise ValueError(f"unknown test function {f!r}; use 'bump' or ('phi', lambda)")
 
 
-def _mean_stderr(vals: np.ndarray) -> tuple[complex, float]:
-    mean = complex(vals.mean())
-    dev = vals - mean
-    var = float(np.mean(dev.real**2 + dev.imag**2))
-    return mean, math.sqrt(var / len(vals))
-
-
 def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     """Both sides of the point-measure deformation identity.
 
@@ -215,12 +208,12 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     fn = _test_function(rs, f)
 
     zg = conv_group_cloud(d, x, y, n, rng)
-    lhs, se_lhs = _mean_stderr(fn(zg))
+    lhs, se_lhs = kernels._mean_stderr(fn(zg))
 
     zh = conv_hermitian_cloud(d, x, y, n, rng)
     log_w = log_semicharacter_rows(rs, zh)
     log_w -= log_semicharacter(rs, x) + log_semicharacter(rs, y)
-    rhs, se_rhs = _mean_stderr(fn(zh) * np.exp(log_w))
+    rhs, se_rhs = kernels._mean_stderr(fn(zh) * np.exp(log_w))
     return CheckResult(lhs, rhs, se_lhs, se_rhs)
 
 
@@ -230,7 +223,7 @@ def semicharacter_multiplicativity(d: int, x, y, n: int, rng) -> CheckResult:
     rs = build_root_system("A", d - 1)
     z = conv_hermitian_cloud(d, x, y, n, rng)
     vals = np.exp(log_semicharacter_rows(rs, z))
-    mean, se = _mean_stderr(vals)
+    mean, se = kernels._mean_stderr(vals)
     target = math.exp(log_semicharacter(rs, x) + log_semicharacter(rs, y))
     return CheckResult(mean.real, target, se, 0.0)
 
@@ -295,7 +288,8 @@ def spherical_transform_empirical(
 ) -> tuple[complex, float]:
     """Weighted mean of conj(psi_lambda) or conj(phi_lambda) over the atoms.
 
-    Returns (estimate, standard error of the weighted mean).
+    Returns (estimate, standard error), by `kernels._mean_stderr` under the
+    measure's weights.
     """
     if which not in ("psi", "phi"):
         raise ValueError("which must be 'psi' or 'phi'")
@@ -303,7 +297,4 @@ def spherical_transform_empirical(
         rs = build_root_system("A", measure.atoms.shape[1] - 1)
     rows = spherical_psi_rows if which == "psi" else spherical_phi_rows
     vals = np.conj(rows(rs, _check_vec(rs, lam, name="lambda"), measure.atoms).value)
-    est = complex(np.sum(measure.weights * vals))
-    dev = vals - est
-    var = np.sum(measure.weights**2 * (dev.real**2 + dev.imag**2))
-    return est, float(math.sqrt(var))
+    return kernels._mean_stderr(vals, measure.weights)

@@ -11,7 +11,8 @@ Single-matrix spectra are one LAPACK call each (numpy's eigvalsh and svd),
 behind the validation of the maps p and q; the tests check q against
 80-digit mpmath singular values.
 Haar U(d) and SO(m) samples come from one vectorised Gram-Schmidt QR of a
-complex or real Ginibre stack.
+complex or real Ginibre stack.  Every Monte-Carlo mean and standard error
+in the package comes from `_mean_stderr`.
 """
 
 from __future__ import annotations
@@ -77,6 +78,21 @@ def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:
     flip = np.linalg.det(q) < 0
     q[flip, :, -1] = -q[flip, :, -1]
     return q
+
+
+def _mean_stderr(vals, weights=None):
+    """Monte-Carlo mean and standard error of ``vals`` along axis 0, under weights u
+    (ones by default): sum u v / sum u and sqrt(sum u^2 |v - mean|^2 / sum u / sum u).
+    A 1-d ``vals`` gives a Python (complex, float); a (n, k) one, arrays of k.
+    """
+    vals = np.asarray(vals)
+    u = np.ones(len(vals)) if weights is None else np.asarray(weights, dtype=float)
+    u = u.reshape(-1, *(1,) * (vals.ndim - 1))
+    total = u.sum()
+    mean = (u * vals).sum(axis=0) / total
+    dev = vals - mean
+    se = np.sqrt((u * u * (dev.real**2 + dev.imag**2)).sum(axis=0) / total / total)
+    return (complex(mean), float(se)) if vals.ndim == 1 else (mean, se)
 
 
 # ---------------------------------------------------------------------------

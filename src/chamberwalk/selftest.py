@@ -12,7 +12,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +95,7 @@ def check_psi_vs_haar_mc(p, rng) -> CheckOutcome:
         for _ in range(p["n_pts"]):
             x = _random_regular(rs, rng)
             lam = _random_regular_vec(rs, rng)
-            mc, se = convolve._mean_stderr(np.exp(1j * ((maps @ x) @ lam)))
+            mc, se = kernels._mean_stderr(np.exp(1j * ((maps @ x) @ lam)))
             res = convolve.CheckResult(mc, spherical_psi(rs, lam, x).value, se, 0.0)
             worst = max(worst, res.z)
             failures += not res.passed
@@ -104,30 +103,30 @@ def check_psi_vs_haar_mc(p, rng) -> CheckOutcome:
                         {"worst_z": worst, "failures": failures})
 
 
-def check_ratio_identity(p, rng) -> CheckOutcome:
+def _worst_gap(systems, rng, gap) -> float:
+    """Largest gap(rs, x, lam) over 50 random regular (x, lam), x drawn first, per system."""
     worst = 0.0
-    for fam, rank in (("A", 2), ("B", 2), ("C", 3), ("D", 4)):
-        rs = build_root_system(fam, rank)
+    for rs in systems:
         for _ in range(50):
             x = _random_regular(rs, rng)
-            lam = _random_regular_vec(rs, rng)
-            lhs = spherical_phi(rs, lam, x).value * semicharacter(rs, x)
-            rhs = spherical_psi(rs, lam, x).value
-            worst = max(worst, abs(lhs - rhs))
+            worst = max(worst, gap(rs, x, _random_regular_vec(rs, rng)))
+    return worst
+
+
+def check_ratio_identity(p, rng) -> CheckOutcome:
+    worst = _worst_gap(
+        [build_root_system(*fr) for fr in (("A", 2), ("B", 2), ("C", 3), ("D", 4))], rng,
+        lambda rs, x, lam: abs(spherical_phi(rs, lam, x).value * semicharacter(rs, x)
+                               - spherical_psi(rs, lam, x).value))
     return CheckOutcome("ratio_identity", worst <= 1e-10, {"worst_abs": worst})
 
 
 def check_bc_coincidence(p, rng) -> CheckOutcome:
-    worst = 0.0
-    for rank in (3, 4):
-        rb = build_root_system("B", rank)
-        rc = build_root_system("C", rank)
-        for _ in range(50):
-            x = _random_regular(rb, rng)
-            lam = _random_regular_vec(rb, rng)
-            vb = spherical_psi(rb, lam, x).value
-            vc = spherical_psi(rc, lam, x).value
-            worst = max(worst, abs(vb - vc))
+    rc = {rank: build_root_system("C", rank) for rank in (3, 4)}
+    worst = _worst_gap(
+        [build_root_system("B", rank) for rank in rc], rng,
+        lambda rb, x, lam: abs(spherical_psi(rb, lam, x).value
+                               - spherical_psi(rc[rb.rank], lam, x).value))
     return CheckOutcome("bc_coincidence", worst <= 1e-9, {"worst_abs": worst})
 
 
@@ -242,7 +241,7 @@ def _lln_tolerance(cfg) -> float:
     return max(0.05, 5.0 * math.sqrt(var.mean()) / math.sqrt(cfg.n_steps))
 
 
-def check_strong_law(p, rng, seed: int = 0) -> tuple[CheckOutcome, walk.WalkReport]:
+def check_strong_law(p, seed: int) -> tuple[CheckOutcome, walk.WalkReport]:
     cases = [
         (2, [[0.5, -0.5]], [1.0]),
         (3, [[1.0, 0.0, -1.0], [0.5, 0.0, -0.5]], [0.5, 0.5]),
@@ -278,7 +277,7 @@ def check_qr_exactness(p, rng) -> CheckOutcome:
     return CheckOutcome("qr_exactness", worst <= 1e-6, {"worst_abs": worst})
 
 
-def check_crosscheck_law(p, rng, seed: int = 0) -> CheckOutcome:
+def check_crosscheck_law(p, seed: int) -> CheckOutcome:
     cfg = WalkConfig(d=2, atoms=[[0.5, -0.5]], weights=[1.0],
                      n_steps=p["ks_steps"], n_replicas=p["ks_reps"], seed=seed)
     rep = walk.euclidean_walk_crosscheck(cfg)
@@ -313,15 +312,16 @@ def run_selftest(level: str, seed: int, out_dir) -> tuple[list[CheckOutcome], di
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    checks = [check_rho_tables, check_psi_vs_haar_mc, check_ratio_identity,
-              check_bc_coincidence, check_m1_consistency, check_deformation,
-              check_multiplicativity, check_support, check_qr_exactness, check_contractivity]
-    streams = [1000 + i for i in range(len(checks))] + [1100, 1101]
-    checks += [partial(check_strong_law, seed=seed), partial(check_crosscheck_law, seed=seed)]
+    # substreams 1000 + i for the (p, rng) checks; the walk checks take the seed
+    runs = [(fn, substream(seed, 1000 + i)) for i, fn in enumerate((
+        check_rho_tables, check_psi_vs_haar_mc, check_ratio_identity, check_bc_coincidence,
+        check_m1_consistency, check_deformation, check_multiplicativity, check_support,
+        check_qr_exactness, check_contractivity))]
+    runs += [(check_strong_law, seed), (check_crosscheck_law, seed)]
     outcomes = []
-    for fn, index in zip(checks, streams):
+    for fn, stream in runs:
         t0 = time.perf_counter()
-        outcome = fn(p, substream(seed, index))
+        outcome = fn(p, stream)
         if isinstance(outcome, tuple):  # the strong law also returns its walk
             outcome, lln_report = outcome
         outcome.seconds = time.perf_counter() - t0

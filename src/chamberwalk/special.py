@@ -298,9 +298,20 @@ def spherical_phi(rs: RootSystem, lam, x) -> SphericalValue:
     return _spherical_value("phi", rs, lam, x)
 
 
+def _m1_rows(rs: RootSystem, xs: np.ndarray) -> np.ndarray:
+    # m1 divides by an alternating sum, which can cancel to 0: refuse that row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = _kernel(rs, "m1", None, xs)[0]
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValueError(f"m1 is not finite at x = {xs[bad[0]].tolist()}: its alternating "
+                         "sum cancels to 0 in double precision")
+    return values
+
+
 def m1_closed_rows(rs: RootSystem, xs) -> np.ndarray:
     """m1_closed applied to each row of ``xs``, shape (n, dim)."""
-    return _kernel(rs, "m1", None, _check_vec(rs, xs, rows=True))[0]
+    return _m1_rows(rs, _check_vec(rs, xs, rows=True))
 
 
 def m1_closed(rs: RootSystem, x) -> np.ndarray:
@@ -309,18 +320,19 @@ def m1_closed(rs: RootSystem, x) -> np.ndarray:
     Alternating-sum closed form; exact 0 at x = 0, and within EPS_REG of a
     chamber wall the contour rule's mean over a circle of x + zeta rho/|rho|.
     That claim fails at small scale in rank >= 3, where the sums cancel below
-    double precision, as a strict xfail pins on D4 (ROADMAP direction 1).
+    double precision, as a strict xfail pins on D4 (ROADMAP direction 1); a
+    non-finite value raises ValueError naming its row x.
     """
-    return _kernel(rs, "m1", None, _check_vec(rs, x)[None, :])[0][0]
+    return _m1_rows(rs, _check_vec(rs, x)[None, :])[0]
 
 
 def m1_mc(rs: RootSystem, x, n: int, rng):
     """Monte-Carlo estimate of m1(x) from the defining orbit integral.
 
-    Averages (k.x) * exp(<rho, k.x>) over `kernels.orbit_diagonal_batch`, one
-    orbit map for every family, and divides by the closed-form semicharacter;
-    family C samples B's orbit (psi_B = psi_C) weighted by C's rho.  Returns
-    (estimate, stderr), both per coordinate, exact zeros at x = 0.
+    `kernels._mean_stderr` of the orbit coordinates v = k.x of chunked
+    `kernels.orbit_diagonal_batch` draws, weighted by exp(<rho, v - x>), over the
+    semicharacter times exp(-<rho, x>); C samples B's orbit (psi_B = psi_C) with
+    C's rho.  Returns (estimate, stderr) per coordinate, zeros at x = 0.
     """
     x = _check_vec(rs, x)
     n = _check_count(n, 1, "sample size n")
@@ -329,21 +341,13 @@ def m1_mc(rs: RootSystem, x, n: int, rng):
 
     # weights rescaled by exp(-<rho, x>) so they stay in [0, 1]
     c = float(rs.rho @ x)
-    log_norm = log_semicharacter(rs, x) - c
-
-    sums = np.zeros(rs.ambient_dim)
-    sq_sums = np.zeros(rs.ambient_dim)
+    vw = np.empty((n, rs.ambient_dim))
     for done in range(0, n, _M1_MC_CHUNK):
-        m = min(_M1_MC_CHUNK, n - done)
-        v = kernels.orbit_diagonal_batch(rs, x, m, rng)
-        w = np.exp(v @ rs.rho - c)
-        vw = v * w[:, None]
-        sums += vw.sum(axis=0)
-        sq_sums += (vw * vw).sum(axis=0)
-    mean = sums / n
-    var = np.maximum(sq_sums / n - mean**2, 0.0)
-    scale = math.exp(-log_norm)
-    return mean * scale, np.sqrt(var / n) * scale
+        v = kernels.orbit_diagonal_batch(rs, x, min(_M1_MC_CHUNK, n - done), rng)
+        vw[done : done + len(v)] = v * np.exp(v @ rs.rho - c)[:, None]
+    mean, se = kernels._mean_stderr(vw)
+    scale = math.exp(c - log_semicharacter(rs, x))
+    return mean * scale, se * scale
 
 
 def m1_expectation(rs: RootSystem, atoms, weights) -> np.ndarray:

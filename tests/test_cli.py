@@ -100,10 +100,9 @@ def test_non_finite_vectors_exit_2(argv, capsys, recwarn):
     assert not recwarn.list
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
-    # m1 cancels to a division by zero at this small B3 point; JSON has no
-    # infinity, so the command refuses rather than print invalid JSON
+    # m1's alternating sum cancels to 0 at this small B3 point, and m1 refuses
+    # the non-finite value rather than print it
     argv = ["eval", "m1", "B", "3", "--x", "[0.0065,0.0035,0.0012]"]
     out = tmp_path / "m1.json"
     for extra in ([], ["--out", str(out)]):
@@ -112,7 +111,7 @@ def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.err.startswith(
-            "error: Out of range float values are not JSON compliant"), captured.err
+            "error: m1 is not finite at x = [0.0065, 0.0035, 0.0012]"), captured.err
     assert not out.exists()
 
 

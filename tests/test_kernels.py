@@ -7,6 +7,7 @@ import scipy.linalg
 
 from chamberwalk.kernels import (
     _biinvariant_batch,
+    _mean_stderr,
     _positive_qr_q,
     haar_orthogonal_batch,
     haar_unitary_batch,
@@ -341,3 +342,44 @@ def test_the_dimension_goes_through_the_rank_rule(sample):
     with pytest.raises(RootSystemError, match=re.escape("rank must be an integer, got 1.5")):
         sample(2.5, substream(0, 22))
     assert np.array_equal(sample(2.0, substream(0, 23)), sample(2, substream(0, 23)))
+
+
+def _two_pass(vals, u):
+    # the weighted mean, then the weighted squared deviations from it, column by column
+    vals, u = np.atleast_2d(vals.T).T, np.asarray(u, dtype=float)
+    mean = np.array([sum(ui * v for ui, v in zip(u, col)) / sum(u) for col in vals.T])
+    var = np.array([sum(ui**2 * abs(v - m) ** 2 for ui, v in zip(u, col))
+                    for col, m in zip(vals.T, mean)])
+    return mean, np.sqrt(var) / sum(u)
+
+
+@pytest.mark.parametrize("kind", ["complex-1d", "real-2d", "weighted-complex-1d",
+                                  "weighted-real-2d"])
+def test_mean_stderr_matches_the_two_pass_formula(kind):
+    rng = substream(5, 0)
+    n = 500
+    vals = (rng.standard_normal((n, 3)) if "2d" in kind
+            else rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    u = rng.random(n) if "weighted" in kind else None
+    mean, se = _mean_stderr(vals, u)
+    ref_mean, ref_se = _two_pass(vals, np.ones(n) if u is None else u)
+    if "1d" in kind:
+        # a 1-d sample gives plain Python numbers, which JSON takes as they are
+        assert type(mean) is complex and type(se) is float
+        ref_mean, ref_se = ref_mean[0], ref_se[0]
+    else:
+        assert mean.shape == se.shape == (3,)
+    assert np.allclose(mean, ref_mean, rtol=1e-13, atol=0.0)
+    assert np.allclose(se, ref_se, rtol=1e-12, atol=0.0)
+
+
+def test_mean_stderr_is_exact_on_a_constant_sample():
+    # dyadic values and weights make every sum exact, so the mean is the
+    # constant and every deviation 0
+    mean, se = _mean_stderr(np.full(1000, 0.375 - 0.75j))
+    assert mean == 0.375 - 0.75j and se == 0.0
+    mean, se = _mean_stderr(np.full((4, 2), 1.5), np.array([0.25, 0.5, 1.0, 2.0]))
+    assert np.array_equal(mean, [1.5, 1.5]) and np.array_equal(se, [0.0, 0.0])
+    # otherwise the mean is rounded, and the standard error stays at rounding level
+    _, se = _mean_stderr(np.full(1000, 0.3 - 0.7j))
+    assert se <= np.finfo(float).eps * abs(0.3 - 0.7j)

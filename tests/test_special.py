@@ -313,6 +313,19 @@ def test_m1_expectation_mixture():
     assert np.allclose(m1_expectation(rs, atoms, weights), expected)
 
 
+def test_m1_refuses_a_non_finite_value():
+    # m1's alternating sum cancels to 0 at this small B3 point; every m1 entry
+    # refuses it, naming the point, and no RuntimeWarning leaks
+    rs = build_root_system("B", 3)
+    x, good = [0.0065, 0.0035, 0.0012], [1.0, 0.5, 0.2]
+    for call in (lambda: m1_closed(rs, x), lambda: m1_closed_rows(rs, [good, x]),
+                 lambda: m1_expectation(rs, [good, x], [0.5, 0.5])):
+        with pytest.raises(ValueError, match=r"^m1 is not finite at x = \[0\.0065, 0\.0035, "):
+            call()
+    # an atom of weight 0 is not evaluated
+    assert np.all(m1_expectation(rs, [good, x], [1.0, 0.0]) == m1_closed(rs, good))
+
+
 def test_dimension_mismatch_raises():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
@@ -534,8 +547,6 @@ def test_est_abs_error_bounds_the_mpmath_oracle():
     assert sv.est_abs_error > 1e3
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_est_abs_error_is_never_nan_and_inf_for_non_finite_values():
     # at small scale the rank-3 sums can cancel to exactly 0 (phi = inf/nan)
     rng = np.random.default_rng(34)
@@ -591,6 +602,13 @@ X_WALLS = [
     ("D", 4, [1.0, 0.5, 0.5, 0.5], [1.1, 0.8, 0.5, 0.3]),
     ("A", 2, [1.0, 1.0 - 3e-8, -2.0 + 3e-8], [0.7, 0.1, -0.8]),
 ]
+#: x on walls at large scale, |x||lambda| up to about 50; listed after the
+#: other wall cases, so that the ids of those keep their indices
+X_WALLS_LARGE = [
+    ("A", 2, [5.0, 5.0, -10.0], [3.0, -1.0, -2.0]),
+    ("A", 3, [4.0, 4.0, -4.0, -4.0], [3.0, 1.0, -1.0, -3.0]),
+    ("B", 3, [6.0, 6.0, 2.0], [3.0, 2.0, 1.0]),
+]
 #: lambda on walls of multiplicity 1-3, each with a regular x
 LAMBDA_WALLS = [
     ("A", 3, [1.1, 0.4, -0.3, -1.2], [1.0, 1.0, -1.0, -1.0]),
@@ -606,7 +624,8 @@ BOTH_WALLS = [
 ]
 
 
-@pytest.mark.parametrize("family, rank, x, lam", X_WALLS + LAMBDA_WALLS + BOTH_WALLS)
+@pytest.mark.parametrize("family, rank, x, lam",
+                         X_WALLS + LAMBDA_WALLS + BOTH_WALLS + X_WALLS_LARGE)
 def test_contour_rule_meets_the_mpmath_oracle_at_walls(family, rank, x, lam):
     rs = build_root_system(family, rank)
     x, lam = np.array(x), np.array(lam)
@@ -623,7 +642,7 @@ def test_contour_rule_meets_the_mpmath_oracle_at_walls(family, rank, x, lam):
         assert np.abs(m1_closed(rs, x) - m1_ref).max() <= 1e-11
 
 
-@pytest.mark.parametrize("family, rank, x", [case[:3] for case in X_WALLS])
+@pytest.mark.parametrize("family, rank, x", [case[:3] for case in X_WALLS + X_WALLS_LARGE])
 def test_m1_stays_in_chamber_at_and_near_walls(family, rank, x):
     rs = build_root_system(family, rank)
     m1 = m1_closed(rs, np.array(x))
