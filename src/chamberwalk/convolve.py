@@ -1,13 +1,13 @@
 """Monte-Carlo estimators for the two convolutions on the A-family chamber.
 
-delta_x * delta_y  (Hermitian sum side):   spectra of diag(x) + U diag(y) U*,
-delta_x . delta_y  (group product side):   log-singular spectra of
-                                           e^diag(x) U e^diag(y),
+delta_x * delta_y  (Hermitian sum side):   p(diag(x) + U diag(y) U*),
+delta_x . delta_y  (group product side):   q(e^diag(x) U e^diag(y)),
+                                           p and q by `kernels._p` and `_q`,
 with U Haar in U(d).  The paper takes U Haar in SU(d); the laws agree,
 because a central phase e^{i theta} on U cancels in U diag(y) U* and leaves
 the singular values of e^diag(x) U e^diag(y) unchanged.  Both clouds run one
-chunked sampling loop and differ only in the spectrum map applied to each
-chunk of U draws.  On top of the samplers: the deformation-identity check,
+chunked sampling loop and differ only in the map applied to each chunk of
+U draws.  On top of the samplers: the deformation-identity check,
 semicharacter multiplicativity, the support-equivalence test, the empirical
 spherical transform and its homomorphism check.
 """
@@ -25,6 +25,7 @@ from . import kernels
 from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _check_vec,
                     _check_weights, build_root_system)
 from .special import (
+    _LOG_FLOAT_MAX,
     log_semicharacter,
     log_semicharacter_rows,
     spherical_phi_rows,
@@ -145,7 +146,7 @@ class CheckResult:
 
 
 def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
-    """n centred rows of ``spectra(x, y, u)`` over Haar U(d) stacks u.
+    """n rows of ``spectra(x, y, u)``, by `kernels._p` or `_q`, over Haar U(d) stacks u.
 
     u is drawn in chunks of `_CHUNK`; a zero x or y makes every sample the
     other point, with no draw.
@@ -160,24 +161,20 @@ def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
     out = np.empty((n, d))
     for done in range(0, n, _CHUNK):
         m = min(_CHUNK, n - done)
-        w = spectra(x, y, kernels.haar_unitary_batch(d, m, rng))
-        out[done : done + m] = w - w.mean(axis=1, keepdims=True)
+        out[done : done + m] = spectra(x, y, kernels.haar_unitary_batch(d, m, rng))
     return out
 
 
 def _hermitian_spectra(x, y, u):
-    mats = (u * y[None, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
-    mats += np.diag(x)[None, :, :]
-    return np.linalg.eigvalsh(mats)[:, ::-1]
+    return kernels._p((u * y) @ np.conj(np.transpose(u, (0, 2, 1))) + np.diag(x))
 
 
 def _group_spectra(x, y, u):
-    mats = np.exp(x)[None, :, None] * u * np.exp(y)[None, None, :]
-    return np.log(np.linalg.svd(mats, compute_uv=False))
+    return kernels._q(np.exp(x)[:, None] * u * np.exp(y))
 
 
 def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
-    """n samples from delta_x * delta_y: spectra of diag(x) + U diag(y) U*."""
+    """n samples from delta_x * delta_y: p(diag(x) + U diag(y) U*)."""
     return _cloud(d, x, y, n, rng, _hermitian_spectra)
 
 
@@ -219,13 +216,17 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
 
 def semicharacter_multiplicativity(d: int, x, y, n: int, rng) -> CheckResult:
     """MC mean of the semicharacter over delta_x * delta_y (lhs) against the
-    exact product of its values at x and y (rhs)."""
+    exact product of its values at x and y (rhs).  Where either overflows a
+    float it raises ValueError naming x and y."""
     rs = build_root_system("A", d - 1)
     z = conv_hermitian_cloud(d, x, y, n, rng)
-    vals = np.exp(log_semicharacter_rows(rs, z))
-    mean, se = kernels._mean_stderr(vals)
-    target = math.exp(log_semicharacter(rs, x) + log_semicharacter(rs, y))
-    return CheckResult(mean.real, target, se, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, se = kernels._mean_stderr(np.exp(log_semicharacter_rows(rs, z)))
+    log_target = log_semicharacter(rs, x) + log_semicharacter(rs, y)
+    if not (np.isfinite([mean, se]).all() and log_target <= _LOG_FLOAT_MAX):
+        raise ValueError(f"semicharacter multiplicativity overflows a float at x = "
+                         f"{_check_vec(rs, x).tolist()}, y = {_check_vec(rs, y).tolist()}")
+    return CheckResult(mean.real, math.exp(log_target), se, 0.0)
 
 
 def transform_homomorphism(d: int, x, y, lam, n: int, rng) -> CheckResult:

@@ -7,9 +7,9 @@ antisymmetric matrices Q iota(x) Q^T, Q in SO(m), iota(x) = blockdiag([[0, x_j],
 psi_C, so their projected orbit measures are equal.  `orbit_maps` turns a Haar
 draw into chamber coordinates, linear in x, for every family.
 
-Single-matrix spectra are one LAPACK call each (numpy's eigvalsh and svd),
-behind the validation of the maps p and q; the tests check q against
-80-digit mpmath singular values.
+The maps p and q are `_p` (eigvalsh) and `_q` (svd), one batched LAPACK call
+each, descending and centred, behind the clouds, the crosscheck and the public
+entries, which take a matrix by `roots._check_matrix`.
 Haar U(d) and SO(m) samples come from one vectorised Gram-Schmidt QR of a
 complex or real Ginibre stack.  Every Monte-Carlo mean and standard error
 in the package comes from `_mean_stderr`.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .roots import RootSystem, _check_count, _check_real, _check_vec
+from .roots import RootSystem, _check_count, _check_matrix, _check_real, _check_vec
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
@@ -38,15 +38,16 @@ def _positive_qr_q(z: np.ndarray) -> np.ndarray:
     normalisation; the second pass restores orthogonality to working
     precision (Giraud, Langou & Rozloznik 2005).  Overwrites and returns z.
     """
+    real = not np.iscomplexobj(z)
     for j in range(z.shape[-1]):
         v = z[:, :, j]
         if j:
             done = z[:, :, :j]
             for _ in range(2):
-                c = np.einsum("nik,ni->nk", done, v.conj()).conj()
-                v -= np.einsum("nk,nik->ni", c, done)
+                c = np.einsum("nik,ni->nk", done, v if real else v.conj())
+                v -= np.einsum("nk,nik->ni", c if real else np.conj(c, out=c), done)
         v /= np.sqrt(np.einsum("ni,ni->n", v.real, v.real)
-                     + np.einsum("ni,ni->n", v.imag, v.imag))[:, None]
+                     + (0.0 if real else np.einsum("ni,ni->n", v.imag, v.imag)))[:, None]
     return z
 
 
@@ -99,56 +100,54 @@ def _mean_stderr(vals, weights=None):
 # Spectra
 
 
-def _check_hermitian_traceless(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+def _p(a: np.ndarray) -> np.ndarray:
+    """The map p of a Hermitian matrix or stack: eigvalsh's eigenvalues reversed, centred."""
+    w = np.linalg.eigvalsh(a)[..., ::-1]
+    return w - w.mean(axis=-1, keepdims=True)
+
+
+def _q(b: np.ndarray) -> np.ndarray:
+    """The map q of a matrix or stack: logs of svd's (descending) singular values, centred."""
+    w = np.log(np.linalg.svd(b, compute_uv=False))
+    return w - w.mean(axis=-1, keepdims=True)
+
+
+def hermitian_spectrum(a) -> np.ndarray:
+    """The map p, `_p`, of a traceless Hermitian matrix taken by `_check_matrix`.
+
+    LAPACK's eigvalsh is backward stable, so each eigenvalue is right to a
+    small multiple of eps * ||a||_2 in absolute terms.
+    """
+    a = _check_matrix(a)
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.conj().T).max() > _HERM_TOL * scale:
         raise ValueError("matrix is not Hermitian within 1e-12")
     if abs(np.trace(a)) > _TRACE_TOL * scale:
         raise ValueError("matrix trace exceeds the 1e-10 tolerance")
-
-
-def hermitian_spectrum(a) -> np.ndarray:
-    """Ordered eigenvalues of a traceless Hermitian matrix (the map p).
-
-    Descending, re-centered to coordinate sum exactly 0.  LAPACK's eigvalsh
-    is backward stable, so each eigenvalue is right to a small multiple of
-    eps * ||a||_2 in absolute terms.
-    """
-    a = np.asarray(a, dtype=complex)
-    _check_hermitian_traceless(a)
-    out = np.linalg.eigvalsh(a)[::-1]
-    return out - out.mean()
+    return _p(a)
 
 
 def log_singular_spectrum(b) -> np.ndarray:
-    """The map q: descending logs of the singular values, centered to sum 0.
+    """The map q, `_q`, of a unimodular matrix taken by `_check_matrix`.
 
-    One LAPACK SVD.  Its singular values are right to a small multiple of
-    eps * sigma_1, so log sigma_i is right to about eps * sigma_1 / sigma_i,
-    and centering passes the worst of these, eps * e^{q_1 - q_d}, to every
-    coordinate (the tests hold it to 10 eps e^{q_1 - q_d} against mpmath).
-    Raises ValueError on a non-finite or non-unimodular b, and when
-    sigma_d^2 <= d * 1e-13 * sigma_1^2, where that error would pass about
-    7e-10 / sqrt(d) (a log spread of 14.4 at d = 3); accumulate long
+    LAPACK's singular values are right to a small multiple of eps * sigma_1, so
+    log sigma_i is right to about eps * sigma_1 / sigma_i, and centering passes
+    the worst of these, eps * e^{q_1 - q_d}, to every coordinate (the tests hold
+    it to 10 eps e^{q_1 - q_d} against mpmath).  Raises ValueError when det b is
+    not 1 and when q_1 - q_d >= log(1e13 / d) / 2, where that error would pass
+    about 7e-10 / sqrt(d) (a log spread of 14.4 at d = 3); accumulate long
     products with the walk's ProductAccumulator instead.
     """
-    b = np.asarray(b, dtype=complex)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("matrix has non-finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
+    b = _check_matrix(b)
+    with np.errstate(all="ignore"):
         det = np.linalg.det(b)
         if abs(det - 1.0) > _DET_TOL * max(1.0, np.abs(b).max() ** b.shape[0]):
             raise ValueError(f"expected a unimodular matrix, got det = {det:.3g}")
-        s = np.linalg.svd(b, compute_uv=False)
-        if s[-1] ** 2 <= b.shape[0] * 1e-13 * s[0] ** 2:
-            raise ValueError(
-                "singular-value spread beyond double precision; accumulate long "
-                "products with the QR accumulator instead"
-            )
-    out = np.log(s)
-    return out - out.mean()
+        out = _q(b)
+    if not out[0] - out[-1] < 0.5 * np.log(1e13 / b.shape[0]):
+        raise ValueError("singular-value spread beyond double precision; accumulate long "
+                         "products with the QR accumulator instead")
+    return out
 
 
 # ---------------------------------------------------------------------------

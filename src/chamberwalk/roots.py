@@ -6,8 +6,9 @@ roots), the Weyl group W as cached arrays of signed permutations, the
 closed chamber C, and one private validator per kind of input, each raising
 ValueError that names the input: `_check_real` (the number rule: finite real
 numbers, or complex for lambda, never bool or strings) and, built on it,
-`_check_vec` (ambient vectors and rows), `_check_chamber` (chamber points) and
-`_check_weights` (probability vectors); `_check_count` takes integer counts.
+`_check_vec` (ambient vectors and rows), `_check_chamber` (chamber points),
+`_check_weights` (probability vectors) and `_check_matrix` (square complex
+matrices); `_check_count` takes integer counts.
 
 Conventions: vectors live in R^ambient_dim with the standard dot product.
 For family A the ambient dimension is rank+1 and all roots and chamber
@@ -198,6 +199,14 @@ def _check_real(v, ndim: int, name: str, dtype=float,
         raise ValueError(f"{name} has an entry too large for a float") from None
     if not np.isfinite(a).all():
         raise ValueError(f"{name} {nonfinite}")
+    return a
+
+
+def _check_matrix(a, name: str = "matrix") -> np.ndarray:
+    """`_check_real` for a matrix: ``a`` as a finite complex (d, d) array, d >= 1."""
+    a = _check_real(a, 2, name, complex)
+    if a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"{name} must be square and nonempty, got shape {a.shape}")
     return a
 
 

@@ -67,6 +67,8 @@ _CHUNK_ENTRIES = 1 << 20
 _M1_MC_CHUNK = 100_000
 
 _EPS = float(np.finfo(float).eps)
+#: log of the largest float; math.exp overflows above it
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,13 @@ def log_semicharacter(rs: RootSystem, x) -> float:
 
 
 def semicharacter(rs: RootSystem, x) -> float:
-    """psi_{-i rho}(x) = prod sinh<a,x>/<a,x>; strictly positive, 1 at x=0."""
-    return math.exp(log_semicharacter(rs, x))
+    """psi_{-i rho}(x) = prod sinh<a,x>/<a,x>; strictly positive, 1 at x=0.
+    Beyond the float range it raises ValueError naming x."""
+    log_value = log_semicharacter(rs, x)
+    if log_value > _LOG_FLOAT_MAX:
+        raise ValueError(f"semicharacter is not finite at x = {_check_vec(rs, x).tolist()}: "
+                         "it overflows a float")
+    return math.exp(log_value)
 
 
 def log_semicharacter_rows(rs: RootSystem, xs) -> np.ndarray:

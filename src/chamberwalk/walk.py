@@ -361,7 +361,7 @@ def euclidean_walk_crosscheck(cfg: WalkConfig) -> CrosscheckReport:
         if per_rep.any():
             mats, _ = tilted_orbit_batch(d, atom, int(per_rep.sum()), rng_e)
             np.add.at(total, np.repeat(np.arange(reps), per_rep), mats)
-    p_vals = np.linalg.eigvalsh(total)[:, ::-1]
+    p_vals = kernels._p(total)
 
     ks = [_ks_distance(q_logs[:, i], p_vals[:, i]) for i in range(d)]
     crit = KS_COEFF_1PCT * math.sqrt(2.0 / reps)

@@ -115,6 +115,26 @@ def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "semichar", "A", "1", "--x", "[400,-400]"],
+     "error: semicharacter is not finite at x = [400.0, -400.0]: it overflows a float"),
+    (["check", "semichar-mult", "--d", "2", "--x", "[400,-400]", "--y", "[400,-400]",
+      "--n", "100"],
+     "error: semicharacter multiplicativity overflows a float at x = [400.0, -400.0], "
+     "y = [400.0, -400.0]"),
+    # the target is finite here, but the cloud's semicharacter values are not
+    (["check", "semichar-mult", "--d", "2", "--x", "[180,-180]", "--y", "[180,-180]",
+      "--n", "1000"],
+     "error: semicharacter multiplicativity overflows a float at x = [180.0, -180.0], "
+     "y = [180.0, -180.0]"),
+], ids=["eval-semichar", "semichar-mult-target", "semichar-mult-cloud"])
+def test_semicharacter_beyond_the_float_range_exits_2_in_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message], captured.err
+
+
 def test_selftest_times_each_check_on_stderr(tmp_path, capsys):
     assert main(["selftest", "--level", "fast", "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()

@@ -13,7 +13,8 @@ from chamberwalk.convolve import (EmpiricalMeasure, conv_group_cloud, conv_hermi
                                   deformation_check, semicharacter_multiplicativity,
                                   spherical_transform_empirical, support_equivalence,
                                   transform_homomorphism)
-from chamberwalk.kernels import orbit_diagonal_batch, sample_biinvariant
+from chamberwalk.kernels import (hermitian_spectrum, log_singular_spectrum,
+                                 orbit_diagonal_batch, sample_biinvariant)
 from chamberwalk.roots import build_root_system, chamber_project, min_root_pairing
 from chamberwalk.special import (log_semicharacter_rows, m1_closed, m1_closed_rows,
                                  m1_expectation, m1_mc, semicharacter, spherical_phi,
@@ -51,13 +52,9 @@ def test_no_public_name_is_test_only():
     assert unused == []
 
 
-#: public functions that take matrices, validated by their own rule in kernels
-_MATRIX_ENTRIES = {"hermitian_spectrum", "log_singular_spectrum"}
-
-
 def test_only_roots_converts_an_argument():
     """No public function outside roots hands one of its own parameters to a numpy
-    converter: vectors, rows and measures go through the validators in roots."""
+    converter: vectors, rows, measures and matrices go through the validators in roots."""
     converters = {"asarray", "array", "atleast_2d"}
     offenders = []
     for path in sorted(SRC.glob("*.py")):
@@ -65,7 +62,7 @@ def test_only_roots_converts_an_argument():
             continue
         for fn in ast.walk(ast.parse(path.read_text())):
             if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    or fn.name.startswith("_") or fn.name in _MATRIX_ENTRIES):
+                    or fn.name.startswith("_")):
                 continue
             args = fn.args
             params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
@@ -139,6 +136,29 @@ def test_every_vector_entry_takes_numbers_by_one_rule(call, name, case):
     with pytest.raises(ValueError, match=f"^({name}) "):
         call(_BAD[case])
     call([1.0, -1.0])  # the same entry answers a good vector
+
+
+_BAD_MATRIX = {"bool": [[True, False], [False, True]], "string": [["1", "0"], ["0", "-1"]],
+               "nan": [[np.nan, 0.0], [0.0, 0.0]], "ragged": [[1.0, 0.0], [0.0]],
+               "non-square": [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0]], "1-d": [1.0, -1.0],
+               "3-d": [[[1.0, 0.0], [0.0, -1.0]]], "empty": np.zeros((0, 0))}
+_MATRIX_FUNCS = {"hermitian_spectrum": hermitian_spectrum,
+                 "log_singular_spectrum": log_singular_spectrum}
+
+
+@pytest.mark.parametrize("entry", _MATRIX_FUNCS)
+@pytest.mark.parametrize("case", _BAD_MATRIX)
+def test_every_matrix_entry_takes_numbers_by_one_rule(entry, case):
+    with pytest.raises(ValueError, match="^matrix "):
+        _MATRIX_FUNCS[entry](_BAD_MATRIX[case])
+
+
+def test_matrix_entries_answer_a_complex_hermitian_list():
+    a = [[1.0, 2j], [-2j, -1.0]]  # traceless Hermitian, eigenvalues +-sqrt(5)
+    assert np.allclose(hermitian_spectrum(a), [5**0.5, -5**0.5], rtol=0, atol=1e-14)
+    b = [[2.0, 1j], [1j, 0.0]]  # det 1, singular values sqrt(2) +- 1
+    assert np.allclose(log_singular_spectrum(b), [np.log(2**0.5 + 1), -np.log(2**0.5 + 1)],
+                       rtol=0, atol=1e-14)
 
 
 def test_complex_lambda_is_still_a_spherical_parameter():

@@ -326,6 +326,16 @@ def test_m1_refuses_a_non_finite_value():
     assert np.all(m1_expectation(rs, [good, x], [1.0, 0.0]) == m1_closed(rs, good))
 
 
+def test_semicharacter_refuses_a_value_beyond_the_float_range():
+    # log of the semicharacter at (400, -400) is 800 - log 1600 = 792.6, above
+    # log of the largest float, 709.8; the log form still answers
+    rs = build_root_system("A", 1)
+    with pytest.raises(ValueError, match=r"^semicharacter is not finite at x = \[400\.0, "):
+        semicharacter(rs, [400.0, -400.0])
+    assert abs(log_semicharacter(rs, [400.0, -400.0]) - (800.0 - math.log(1600.0))) < 1e-12
+    assert math.isfinite(semicharacter(rs, [300.0, -300.0]))
+
+
 def test_dimension_mismatch_raises():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
