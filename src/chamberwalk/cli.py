@@ -118,6 +118,7 @@ def cmd_convolve(args) -> int:
     sampler = (convolve.conv_hermitian_cloud if args.mode == "hermitian"
                else convolve.conv_group_cloud)
     cloud = sampler(args.d, x, y, args.n, rng)
+    measure = convolve.EmpiricalMeasure.uniform(cloud)  # refuses non-finite atoms before any file
     manifest = _manifest(args)
     summary = {
         "mode": args.mode, "d": args.d, "n": args.n,
@@ -125,10 +126,11 @@ def cmd_convolve(args) -> int:
         "extent_min": cloud.min(axis=0).tolist(),
         "extent_max": cloud.max(axis=0).tolist(),
     }
+    # the summary goes first, so that a mean beyond the float range leaves no CSV
+    _emit(summary, manifest, args.out + ".json" if args.out else None)
     if args.out:
         with _open_csv(args.out, manifest) as f:
-            convolve.EmpiricalMeasure.uniform(cloud).write_csv(f)
-    _emit(summary, manifest, args.out + ".json" if args.out else None)
+            measure.write_csv(f)
     return 0
 
 

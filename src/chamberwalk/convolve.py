@@ -2,14 +2,19 @@
 
 delta_x * delta_y  (Hermitian sum side):   p(diag(x) + U diag(y) U*),
 delta_x . delta_y  (group product side):   q(e^diag(x) U e^diag(y)),
-                                           p and q by `kernels._p` and `_q`,
-with U Haar in U(d).  The paper takes U Haar in SU(d); the laws agree,
-because a central phase e^{i theta} on U cancels in U diag(y) U* and leaves
-the singular values of e^diag(x) U e^diag(y) unchanged.  Both clouds run one
-chunked sampling loop and differ only in the map applied to each chunk of
-U draws.  On top of the samplers: the deformation-identity check,
-semicharacter multiplicativity, the support-equivalence test, the empirical
-spherical transform and its homomorphism check.
+with U Haar in U(d), the positive-R Q of a complex Ginibre draw.  The paper
+takes U Haar in SU(d); the laws agree, because a central phase e^{i theta} on
+U cancels in U diag(y) U* and leaves the singular values of
+e^diag(x) U e^diag(y) unchanged.  Both clouds run one chunked loop over
+`kernels._ginibre` draws and differ only in the map applied to each chunk.
+At d >= 3 the map takes the QR and calls `kernels._p` or `_q`.  At d = 2 both
+spectra are (s, -s) and depend on the draw only through t = |U_11|^2, read
+from the draw's first column: with a, b the half-widths of x and y,
+s^2 = t (a + b)^2 + (1 - t)(a - b)^2 on the Hermitian side and
+sinh^2 s = t sinh^2(a + b) + (1 - t) sinh^2(a - b) on the group side.
+On top of the samplers: the deformation-identity check, semicharacter
+multiplicativity, the support-equivalence test, the empirical spherical
+transform and its homomorphism check.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .special import (
 EPS_SUPP = 1e-3
 
 _CHUNK = 50_000
+#: a + b beyond which the A_1 group map works in logs; sinh^2(a + b) overflows past 355
+_LOG_SINH_FROM = 350.0
 #: random split halves per cloud in `support_equivalence`
 _SELF_SPLITS = 4
 #: rows formatted per write by `EmpiricalMeasure.write_csv`
@@ -146,10 +153,10 @@ class CheckResult:
 
 
 def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
-    """n rows of ``spectra(x, y, u)``, by `kernels._p` or `_q`, over Haar U(d) stacks u.
+    """n rows of ``spectra(x, y, z)`` over complex Ginibre stacks z from `kernels._ginibre`.
 
-    u is drawn in chunks of `_CHUNK`; a zero x or y makes every sample the
-    other point, with no draw.
+    z is drawn in chunks of `_CHUNK`, the draws of `kernels.haar_unitary_batch`;
+    a zero x or y makes every sample the other point, with no draw.
     """
     n = _check_count(n, 1, "sample size n")
     rs = build_root_system("A", d - 1)
@@ -161,25 +168,69 @@ def _cloud(d: int, x, y, n: int, rng, spectra) -> np.ndarray:
     out = np.empty((n, d))
     for done in range(0, n, _CHUNK):
         m = min(_CHUNK, n - done)
-        out[done : done + m] = spectra(x, y, kernels.haar_unitary_batch(d, m, rng))
+        out[done : done + m] = spectra(x, y, kernels._ginibre(d, m, rng))
     return out
 
 
-def _hermitian_spectra(x, y, u):
+def _a1(x, y, z):
+    """The rank-one reading of a Ginibre stack z: t = |U_11|^2 of its positive-R QR,
+    |z_11|^2 / (|z_11|^2 + |z_21|^2), and the half-widths a = (x_1 - x_2) / 2 and
+    b = (y_1 - y_2) / 2."""
+    w = z[:, :, 0].real ** 2 + z[:, :, 0].imag ** 2
+    return w[:, 0] / (w[:, 0] + w[:, 1]), (x[0] - x[1]) / 2.0, (y[0] - y[1]) / 2.0
+
+
+def _log_sinh(w: float) -> float:
+    """log sinh w for w >= 0, with no overflow; -inf at 0."""
+    with np.errstate(divide="ignore"):
+        return w - math.log(2.0) + float(np.log(-np.expm1(-2.0 * w)))
+
+
+def _hermitian_spectra(x, y, z):
+    """p(diag(x) + U diag(y) U*), U the positive-R Q of z.  At d = 2 the spectrum is
+    (s, -s) with s^2 = t (a + b)^2 + (1 - t)(a - b)^2."""
+    if len(x) == 2:
+        t, a, b = _a1(x, y, z)
+        s = np.hypot(np.sqrt(t) * (a + b), np.sqrt(1.0 - t) * (a - b))
+        return np.stack([s, -s], axis=1)
+    u = kernels._positive_qr_q(z)
     return kernels._p((u * y) @ np.conj(np.transpose(u, (0, 2, 1))) + np.diag(x))
 
 
-def _group_spectra(x, y, u):
-    return kernels._q(np.exp(x)[:, None] * u * np.exp(y))
+def _group_spectra(x, y, z):
+    """q(e^diag(x) U e^diag(y)), U the positive-R Q of z.  At d = 2 it is (s, -s) with
+    sinh^2 s = t sinh^2(a + b) + (1 - t) sinh^2(a - b), taken in logs once a + b passes
+    `_LOG_SINH_FROM`.  At d >= 3 a sample beyond the float range raises ValueError
+    naming x and y."""
+    if len(x) == 2:
+        t, a, b = _a1(x, y, z)
+        if a + b <= _LOG_SINH_FROM:
+            s = np.arcsinh(np.sqrt(t * math.sinh(a + b) ** 2 + (1.0 - t) * math.sinh(a - b) ** 2))
+        else:
+            with np.errstate(divide="ignore"):
+                log_sinh_s = 0.5 * np.logaddexp(np.log(t) + 2.0 * _log_sinh(a + b),
+                                                np.log1p(-t) + 2.0 * _log_sinh(abs(a - b)))
+            # sinh s = e^l gives s = l + log 2 to within e^{-2l} / 4
+            s = np.where(log_sinh_s > 20.0, log_sinh_s + math.log(2.0),
+                         np.arcsinh(np.exp(np.minimum(log_sinh_s, 20.0))))
+        return np.stack([s, -s], axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = kernels._q(np.exp(x)[:, None] * kernels._positive_qr_q(z) * np.exp(y))
+    if not np.isfinite(out).all():
+        raise ValueError(f"group cloud overflows a float at x = {x.tolist()}, y = {y.tolist()}")
+    return out
 
 
 def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
-    """n samples from delta_x * delta_y: p(diag(x) + U diag(y) U*)."""
+    """n samples from delta_x * delta_y: p(diag(x) + U diag(y) U*), in closed form
+    from t = |U_11|^2 at d = 2 and by eigvalsh at d >= 3."""
     return _cloud(d, x, y, n, rng, _hermitian_spectra)
 
 
 def conv_group_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
-    """n samples from delta_x . delta_y: q(e^diag(x) U e^diag(y))."""
+    """n samples from delta_x . delta_y: q(e^diag(x) U e^diag(y)), in closed form
+    from t = |U_11|^2 at d = 2 and by svd at d >= 3.  At d = 2 it is finite wherever
+    a + b is; at d >= 3 a sample beyond the float range raises ValueError."""
     return _cloud(d, x, y, n, rng, _group_spectra)
 
 

@@ -8,11 +8,13 @@ psi_C, so their projected orbit measures are equal.  `orbit_maps` turns a Haar
 draw into chamber coordinates, linear in x, for every family.
 
 The maps p and q are `_p` (eigvalsh) and `_q` (svd), one batched LAPACK call
-each, descending and centred, behind the clouds, the crosscheck and the public
-entries, which take a matrix by `roots._check_matrix`.
+each, descending and centred, behind the clouds at d >= 3, the crosscheck and
+the public entries, which take a matrix by `roots._check_matrix`; the d = 2
+clouds read their Ginibre draws in closed form instead (see `convolve`).
 Haar U(d) and SO(m) samples come from one vectorised Gram-Schmidt QR of a
-complex or real Ginibre stack.  Every Monte-Carlo mean and standard error
-in the package comes from `_mean_stderr`.
+complex or real Ginibre stack; every complex stack is drawn by `_ginibre`, in
+one order.  Every Monte-Carlo mean and standard error in the package comes
+from `_mean_stderr`.
 """
 
 from __future__ import annotations
@@ -51,21 +53,30 @@ def _positive_qr_q(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _ginibre(d: int, n: int, rng) -> np.ndarray:
+    """n complex Ginibre matrices, shape (n, d, d): real normals, then imaginary normals.
+
+    The package's one complex draw order: `haar_unitary_batch` and the clouds
+    read the same stream through it.
+    """
+    z = np.empty((n, d, d), dtype=complex)
+    z.real = rng.standard_normal((n, d, d))
+    z.imag = rng.standard_normal((n, d, d))
+    return z
+
+
 def haar_unitary_batch(d: int, n: int, rng) -> np.ndarray:
     """n Haar-distributed elements of U(d), shape (n, d, d).
 
-    The Q factor, with positive R diagonal, of a complex Ginibre stack (real
-    normals, then imaginary normals) is exactly Haar (Mezzadri 2007); it is
-    taken by `_positive_qr_q`, and Q does not depend on the Ginibre scale.
+    The Q factor, with positive R diagonal, of a complex Ginibre stack from
+    `_ginibre` is exactly Haar (Mezzadri 2007); it is taken by
+    `_positive_qr_q`, and Q does not depend on the Ginibre scale.
     Every law the package draws through it is blind to a central phase on
     U, so there is no SU(d) correction; `sample_biinvariant` makes det Z = 1
     on its product instead.
     """
     d, n = _check_count(d, 2, "d"), _check_count(n, 0, "sample size n")
-    z = np.empty((n, d, d), dtype=complex)
-    z.real = rng.standard_normal((n, d, d))
-    z.imag = rng.standard_normal((n, d, d))
-    return _positive_qr_q(z)
+    return _positive_qr_q(_ginibre(d, n, rng))
 
 
 def haar_orthogonal_batch(m: int, n: int, rng) -> np.ndarray:

@@ -115,6 +115,32 @@ def test_non_finite_result_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+_OVERFLOW = ["--d", "3", "--x", "[400,0,-400]", "--y", "[400,0,-400]", "--n", "100"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convolve", "group", *_OVERFLOW],
+     "error: group cloud overflows a float at x = [400.0, 0.0, -400.0], y = [400.0, 0.0, -400.0]"),
+    (["check", "deformation", *_OVERFLOW],
+     "error: group cloud overflows a float at x = [400.0, 0.0, -400.0], y = [400.0, 0.0, -400.0]"),
+    # a cloud with a non-finite row, from the sampler patched below
+    (["convolve", "hermitian", "--d", "2", "--x", "[1,-1]", "--y", "[1,-1]", "--n", "100"],
+     "error: atoms has non-finite entries"),
+])
+def test_a_failed_cloud_command_writes_no_file(argv, message, tmp_path, capsys, recwarn,
+                                               monkeypatch):
+    real = convolve.conv_hermitian_cloud
+    monkeypatch.setattr(convolve, "conv_hermitian_cloud",
+                        lambda *a: np.vstack([real(*a)[:-1], [np.nan, np.nan]]))
+    out = str(tmp_path / "g") + (".json" if argv[0] == "check" else "")
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n", captured.err
+    assert not recwarn.list
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "semichar", "A", "1", "--x", "[400,-400]"],
      "error: semicharacter is not finite at x = [400.0, -400.0]: it overflows a float"),

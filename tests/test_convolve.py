@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -250,6 +251,79 @@ def test_clouds_equal_su_clouds(d, x, y):
     group = conv_group_cloud(d, x, y, 3_000, substream(1, 17))
     assert np.max(np.abs(herm - su_herm)) <= 1e-13
     assert np.max(np.abs(group - su_group)) <= 1e-13
+
+
+#: the half-widths a, b of x = (a, -a) and y = (b, -b) in the A_1 oracle
+_A1_HALF_WIDTHS = [1e-3, 0.1, 1.0, 20.0, 200.0, 400.0]
+
+
+@pytest.mark.parametrize("a", _A1_HALF_WIDTHS)
+def test_a1_maps_match_an_mpmath_oracle(a):
+    # both A_1 maps read a Ginibre stack only through t = |z11|^2 / (|z11|^2 + |z21|^2);
+    # the oracle takes t from the same floats at 60 digits, with t = 0 and t = 1 included
+    z = kernels._ginibre(2, 32, substream(2, 29))
+    z[0, 0, 0] = 0.0
+    z[1, 1, 0] = 0.0
+    with mpmath.workdps(60):
+        ts = []
+        for z11, z21 in z[:, :, 0]:
+            p, r = (mpmath.mpf(c.real) ** 2 + mpmath.mpf(c.imag) ** 2 for c in (z11, z21))
+            ts.append(p / (p + r))
+        assert ts[0] == 0 and ts[1] == 1
+        for b in _A1_HALF_WIDTHS:
+            x, y = np.array([a, -a]), np.array([b, -b])
+            u, v = mpmath.mpf(a) + b, mpmath.mpf(a) - b
+            exact = {
+                convolve._hermitian_spectra: [mpmath.sqrt(t * u**2 + (1 - t) * v**2) for t in ts],
+                convolve._group_spectra: [
+                    mpmath.asinh(mpmath.sqrt(t * mpmath.sinh(u) ** 2 + (1 - t) * mpmath.sinh(v) ** 2))
+                    for t in ts],
+            }
+            for spectra, s in exact.items():
+                s = np.array([float(e) for e in s])
+                got = spectra(x, y, z)
+                assert np.array_equal(got[:, 1], -got[:, 0])
+                err = np.abs(got[:, 0] - s) / np.maximum(1.0, s)
+                assert err.max() <= 1e-14, (spectra.__name__, a, b, err.max())
+
+
+def _matrix_cloud(spectra, x, y, n, rng):
+    """A d = 2 cloud by p or q of the matrices, over `haar_unitary_batch` chunks."""
+    out = np.empty((n, 2))
+    for done in range(0, n, convolve._CHUNK):
+        u = kernels.haar_unitary_batch(2, min(convolve._CHUNK, n - done), rng)
+        out[done : done + len(u)] = (
+            kernels._q(np.exp(x)[:, None] * u * np.exp(y)) if spectra == "group"
+            else kernels._p((u * y) @ np.conj(np.swapaxes(u, 1, 2)) + np.diag(x)))
+    return out
+
+
+@pytest.mark.parametrize("x, y", [
+    ([1.0, -1.0], [0.6, -0.6]),
+    ([0.05, -0.05], [3.0, -3.0]),
+    ([300.0, -300.0], [100.0, -100.0]),
+])
+def test_a1_clouds_equal_the_matrix_route(x, y):
+    # 120,001 samples cross two chunk boundaries, and each cloud leaves its stream
+    # where the Haar draws of the matrix route leave it
+    x, y = np.array(x), np.array(y)
+    for spectra, cloud_fn in (("hermitian", conv_hermitian_cloud), ("group", conv_group_cloud)):
+        rng, ref_rng = substream(3, 1), substream(3, 1)
+        got = cloud_fn(2, x, y, 120_001, rng)
+        want = _matrix_cloud(spectra, x, y, 120_001, ref_rng)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want))), spectra
+        assert rng.random() == ref_rng.random()
+
+
+def test_group_cloud_beyond_the_float_range(recwarn):
+    # e^x U e^y overflows here; A_1 answers from logs, d = 3 refuses in one line
+    cloud = conv_group_cloud(2, [400.0, -400.0], [400.0, -400.0], 1_000, substream(3, 2))
+    assert np.isfinite(cloud).all()
+    assert cloud[:, 0].min() >= 0.0 and cloud[:, 0].max() <= 800.0
+    message = "group cloud overflows a float at x = [400.0, 0.0, -400.0], y = [400.0, 0.0, -400.0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        conv_group_cloud(3, [400.0, 0.0, -400.0], [400.0, 0.0, -400.0], 10, substream(3, 2))
+    assert not recwarn.list
 
 
 def test_deformation_check_bump():

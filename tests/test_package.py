@@ -75,6 +75,25 @@ def test_only_roots_converts_an_argument():
     assert offenders == []
 
 
+def test_one_draw_order_for_normals():
+    """`standard_normal` is called only by the Ginibre and SO(m) draws in kernels and two
+    selftest helpers, so no second inline Ginibre draw forks a substream."""
+    allowed = {"kernels.py:_ginibre", "kernels.py:haar_orthogonal_batch",
+               "selftest.py:_random_regular_vec", "selftest.py:_random_hermitian"}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost one wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update({id(node): fn.name for node in ast.walk(fn)})
+        for call in ast.walk(tree):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "standard_normal"):
+                callers.add(f"{path.name}:{owner.get(id(call), '<module>')}")
+    assert callers == allowed
+
+
 A1 = build_root_system("A", 1)
 _BAD = {"bool": [True, -1], "string": ["1", "-1"], "complex": [1 + 0j, -1],
         "nan": [np.nan, -1.0], "length": [1.0, 0.0, -1.0]}
