@@ -119,14 +119,18 @@ def cmd_convolve(args) -> int:
                else convolve.conv_group_cloud)
     cloud = sampler(args.d, x, y, args.n, rng)
     measure = convolve.EmpiricalMeasure.uniform(cloud)  # refuses non-finite atoms before any file
+    with np.errstate(over="ignore"):
+        mean = cloud.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise ValueError(f"{args.mode} cloud mean overflows a float at x = {x.tolist()}, "
+                         f"y = {y.tolist()}")
     manifest = _manifest(args)
     summary = {
         "mode": args.mode, "d": args.d, "n": args.n,
-        "mean": cloud.mean(axis=0).tolist(),
+        "mean": mean.tolist(),
         "extent_min": cloud.min(axis=0).tolist(),
         "extent_max": cloud.max(axis=0).tolist(),
     }
-    # the summary goes first, so that a mean beyond the float range leaves no CSV
     _emit(summary, manifest, args.out + ".json" if args.out else None)
     if args.out:
         with _open_csv(args.out, manifest) as f:

@@ -215,10 +215,12 @@ def _group_spectra(x, y, z):
                          np.arcsinh(np.exp(np.minimum(log_sinh_s, 20.0))))
         return np.stack([s, -s], axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = kernels._q(np.exp(x)[:, None] * kernels._positive_qr_q(z) * np.exp(y))
-    if not np.isfinite(out).all():
-        raise ValueError(f"group cloud overflows a float at x = {x.tolist()}, y = {y.tolist()}")
-    return out
+        g = np.exp(x)[:, None] * kernels._positive_qr_q(z) * np.exp(y)
+        if np.isfinite(g).all():  # LAPACK's svd may not converge on inf or NaN
+            out = kernels._q(g)
+            if np.isfinite(out).all():
+                return out
+    raise ValueError(f"group cloud overflows a float at x = {x.tolist()}, y = {y.tolist()}")
 
 
 def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:

@@ -172,9 +172,16 @@ def _check_vec(rs: RootSystem, v, dtype=float, rows: bool = False, name=None) ->
 
 
 def _check_chamber(rs: RootSystem, v, name: str, rows: bool = False) -> np.ndarray:
-    """`_check_vec`, and each point within 1e-9 of the closed chamber."""
+    """`_check_vec`, and each point within 1e-9 of the closed chamber and in range: twice
+    each root pairing is finite, so the pairings of a sum of two points are finite too."""
     v = _check_vec(rs, v, rows=rows, name=name)
-    for p in np.atleast_2d(v):
+    points = np.atleast_2d(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_range = np.isfinite(2.0 * (points @ rs.positive_roots.T)).all(axis=-1)
+    for p, ok in zip(points, in_range):
+        if not ok:
+            raise ValueError(f"{name} {p.tolist()} is out of range: a root pairing exceeds "
+                             "half the largest float")
         if not in_chamber(rs, p, tol=1e-9):
             raise ValueError(f"{name} {p} is not in the {rs.family}_{rs.rank} chamber")
     return v

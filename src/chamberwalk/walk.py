@@ -138,6 +138,9 @@ class ProductAccumulator:
     Internally tracks the conjugate-transposed product (same singular
     values), so updates are plain left QR steps.  A stack of steps, shape
     (..., d, d), advances a batch of products with the same leading axes.
+    ``np.linalg.qr`` already returns R upper triangular, so R is used as it
+    comes; the grading's lower triangle is zeroed through an upper-triangle
+    mask built once here, which keeps ``exp`` finite below the diagonal.
     """
 
     def __init__(self, d: int):
@@ -145,15 +148,16 @@ class ProductAccumulator:
         self.q = np.eye(d, dtype=complex)
         self.logs = np.zeros(d)
         self.tri = np.eye(d, dtype=complex)
+        self._upper = np.triu(np.ones((d, d), dtype=bool))
 
     def update(self, z: np.ndarray) -> None:
-        q2, r = np.linalg.qr(np.conj(np.swapaxes(z, -1, -2)) @ self.q)
-        rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        if np.any(rd == 0.0) or not np.all(np.isfinite(rd)):
+        q2, r = np.linalg.qr(z.conj().mT @ self.q)
+        rd = np.abs(r.diagonal(0, -2, -1))
+        if not ((rd > 0.0) & (rd < np.inf)).all():  # 0, inf and NaN all fail
             raise FloatingPointError("R diagonal underflow in the QR accumulator")
         # T' = R diag(e^L) T, rows rescaled back to unit log-diagonal
-        diff = np.triu(self.logs[..., None, :] - self.logs[..., :, None])
-        m = np.triu(r) * np.exp(diff) / rd[..., :, None]
+        diff = np.where(self._upper, self.logs[..., None, :] - self.logs[..., :, None], 0.0)
+        m = r * np.exp(diff) / rd[..., :, None]
         self.tri = m @ self.tri
         self.logs = self.logs + np.log(rd)
         self.q = q2

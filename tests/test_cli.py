@@ -141,6 +141,39 @@ def test_a_failed_cloud_command_writes_no_file(argv, message, tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+_OUT_OF_RANGE = "is out of range: a root pairing exceeds half the largest float"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convolve", "hermitian", "--d", "2", "--x", "[1e308,-1e308]", "--y", "[1e308,-1e308]",
+      "--n", "100"], f"error: x [1e+308, -1e+308] {_OUT_OF_RANGE}"),
+    (["convolve", "hermitian", "--d", "2", "--x", "[8e307,-8e307]", "--y", "[8e307,-8e307]",
+      "--n", "100"], f"error: x [8e+307, -8e+307] {_OUT_OF_RANGE}"),
+    (["check", "semichar-mult", "--d", "3", "--x", "[1e308,0,-1e308]", "--y", "[1,0,-1]",
+      "--n", "10"], f"error: x [1e+308, 0.0, -1e+308] {_OUT_OF_RANGE}"),
+    (["convolve", "group", "--d", "3", "--x", "[1e308,0,-1e308]", "--y", "[1,0,-1]",
+      "--n", "10"], f"error: x [1e+308, 0.0, -1e+308] {_OUT_OF_RANGE}"),
+    # in range, but the mean of 100 samples near 2e307 is not
+    (["convolve", "hermitian", "--d", "2", "--x", "[1e307,-1e307]", "--y", "[1e307,-1e307]",
+      "--n", "100"],
+     "error: hermitian cloud mean overflows a float at x = [1e+307, -1e+307], "
+     "y = [1e+307, -1e+307]"),
+    # in range, but e^x is not: no svd is tried on inf or NaN
+    (["convolve", "group", "--d", "3", "--x", "[1e300,0,-1e300]", "--y", "[1,0,-1]",
+      "--n", "10"],
+     "error: group cloud overflows a float at x = [1e+300, 0.0, -1e+300], y = [1.0, 0.0, -1.0]"),
+])
+def test_chamber_points_near_the_float_limit_exit_2_in_one_line(argv, message, tmp_path,
+                                                               capsys, recwarn):
+    out = str(tmp_path / "c") + (".json" if argv[0] == "check" else "")
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n", captured.err
+    assert not recwarn.list
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["eval", "semichar", "A", "1", "--x", "[400,-400]"],
      "error: semicharacter is not finite at x = [400.0, -400.0]: it overflows a float"),

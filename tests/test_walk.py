@@ -202,6 +202,93 @@ def test_readout_raises_on_a_non_finite_product():
         acc.readout()
 
 
+def _update_by_explicit_triangles(acc, z):
+    # the accumulator step with every triangle and check spelled out: np.triu on R and
+    # on the grading, and separate zero and finiteness checks
+    q2, r = np.linalg.qr(np.conj(np.swapaxes(z, -1, -2)) @ acc.q)
+    rd = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    if np.any(rd == 0.0) or not np.all(np.isfinite(rd)):
+        raise FloatingPointError("R diagonal underflow in the QR accumulator")
+    diff = np.triu(acc.logs[..., None, :] - acc.logs[..., :, None])
+    m = np.triu(r) * np.exp(diff) / rd[..., :, None]
+    acc.tri = m @ acc.tri
+    acc.logs = acc.logs + np.log(rd)
+    acc.q = q2
+
+
+def _steps_against_explicit_triangles(x, batch, n_steps, rng):
+    d = len(x)
+    acc, ref = ProductAccumulator(d), ProductAccumulator(d)
+    for _ in range(n_steps):
+        z = kernels._biinvariant_batch(np.tile(x, (math.prod(batch), 1)), rng)
+        z = z.reshape(*batch, d, d)
+        acc.update(z)
+        _update_by_explicit_triangles(ref, z)
+        for name in ("q", "logs", "tri"):
+            assert np.array_equal(getattr(acc, name), getattr(ref, name)), name
+    out = acc.readout()
+    assert np.array_equal(out, ref.readout())
+    return out
+
+
+@pytest.mark.parametrize("batch", [(), (5,)])
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_update_is_bit_identical_to_explicit_triangles(d, batch):
+    x = np.linspace(1.0, -1.0, d)
+    _steps_against_explicit_triangles(x, batch, 40, substream(11, d))
+
+
+@pytest.mark.parametrize("batch", [(), (5,)])
+@pytest.mark.parametrize("x", [[3.0, -3.0], [3.0, 0.0, -3.0]])
+def test_update_is_bit_identical_past_log_spread_700(x, batch):
+    # an unmasked lower triangle of the grading overflows exp here
+    out = _steps_against_explicit_triangles(np.array(x), batch, 200, substream(12, len(x)))
+    assert np.all(out[..., 0] - out[..., -1] > 700)
+
+
+@pytest.mark.parametrize("batch", [(), (4,)])
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_update_refuses_a_zero_or_nan_step(bad, batch, recwarn):
+    rng = substream(13, 0)
+    acc = ProductAccumulator(3)
+    acc.update(kernels._biinvariant_batch(np.tile([1.0, 0.0, -1.0], (math.prod(batch), 1)),
+                                          rng).reshape(*batch, 3, 3))
+    before = [acc.q.copy(), acc.logs.copy(), acc.tri.copy()]
+    z = kernels._biinvariant_batch(np.tile([1.0, 0.0, -1.0], (math.prod(batch), 1)), rng)
+    z = z.reshape(*batch, 3, 3)
+    last = z.reshape(-1, 3, 3)[-1]  # a view: one bad replica refuses the whole batch
+    if bad == 0.0:
+        last[...] = 0.0
+    else:
+        last[1, 2] = bad
+    with pytest.raises(FloatingPointError,
+                       match=r"^R diagonal underflow in the QR accumulator$"):
+        acc.update(z)
+    assert not recwarn.list
+    for old, new in zip(before, (acc.q, acc.logs, acc.tri)):
+        assert np.array_equal(old, new)
+
+
+def test_update_takes_an_empty_stack():
+    acc = ProductAccumulator(3)
+    acc.update(np.zeros((0, 3, 3), dtype=complex))
+    assert acc.readout().shape == (0, 3)
+
+
+@pytest.mark.parametrize("atoms, weights, n_steps, replicas, counts", [
+    ([[0.5, -0.5]], [1.0], 20, 300, [10, 10]),
+    ([[1.0, 0.0, -1.0]], [1.0], 10, 200, [12, 20, 14]),
+    ([[1.0, 0.0, -1.0], [0.5, 0.0, -0.5]], [0.5, 0.5], 10, 200, [13, 18, 24]),
+])
+def test_crosscheck_streams_are_pinned(atoms, weights, n_steps, replicas, counts):
+    # KS distances are counts over n: they ignore last-bit rounding, but move with any
+    # draw or accept/reject decision, so a change to a stream must update them on purpose
+    rep = euclidean_walk_crosscheck(WalkConfig(
+        d=len(atoms[0]), atoms=atoms, weights=weights, n_steps=n_steps,
+        n_replicas=replicas, seed=0))
+    assert rep.ks_distances == [c / replicas for c in counts]
+
+
 def test_run_group_walk_converges_to_m1():
     cfg = WalkConfig(d=2, atoms=[[0.5, -0.5]], weights=[1.0], n_steps=3000,
                      n_replicas=2, seed=5)
