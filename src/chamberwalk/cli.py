@@ -71,7 +71,11 @@ def _refuse_unused(args, command: str, *dests: str) -> None:
 def _emit(payload: dict, manifest: dict, out: str | None) -> None:
     payload = dict(payload)
     payload["manifest"] = manifest
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"  # NaN or inf: ValueError, exit 2
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # NaN or inf: exit 2, nothing written
+        raise ValueError(f"{manifest['command']} result is not finite: a value overflows a "
+                         "float or is NaN") from None
     if out:
         Path(out).write_text(text)
     else:

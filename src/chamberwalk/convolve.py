@@ -252,18 +252,22 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     lhs: plain MC mean of f over the group convolution.
     rhs: semicharacter-weighted MC mean over the Hermitian convolution,
     normalized by the semicharacter values at x and y (weights handled in
-    the log domain).
+    the log domain).  A side that is not finite raises ValueError naming x and y.
     """
     rs = build_root_system("A", d - 1)
     fn = _test_function(rs, f)
 
     zg = conv_group_cloud(d, x, y, n, rng)
-    lhs, se_lhs = kernels._mean_stderr(fn(zg))
-
     zh = conv_hermitian_cloud(d, x, y, n, rng)
-    log_w = log_semicharacter_rows(rs, zh)
-    log_w -= log_semicharacter(rs, x) + log_semicharacter(rs, y)
-    rhs, se_rhs = kernels._mean_stderr(fn(zh) * np.exp(log_w))
+    # the bump's |z|^2 may overflow, and e^{-inf} = 0 is its value there
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, se_lhs = kernels._mean_stderr(fn(zg))
+        log_w = log_semicharacter_rows(rs, zh)
+        log_w -= log_semicharacter(rs, x) + log_semicharacter(rs, y)
+        rhs, se_rhs = kernels._mean_stderr(fn(zh) * np.exp(log_w))
+    if not np.isfinite([lhs, rhs, se_lhs, se_rhs]).all():
+        raise ValueError(f"deformation check is not finite at x = {_check_vec(rs, x).tolist()}, "
+                         f"y = {_check_vec(rs, y).tolist()}: a mean overflows a float or is NaN")
     return CheckResult(lhs, rhs, se_lhs, se_rhs)
 
 

@@ -12,8 +12,11 @@ each, descending and centred, behind the clouds at d >= 3, the crosscheck and
 the public entries, which take a matrix by `roots._check_matrix`; the d = 2
 clouds read their Ginibre draws in closed form instead (see `convolve`).
 Haar U(d) and SO(m) samples come from one vectorised Gram-Schmidt QR of a
-complex or real Ginibre stack; every complex stack is drawn by `_ginibre`, in
-one order.  Every Monte-Carlo mean and standard error in the package comes
+complex or real Ginibre stack, which can also run over a range of columns
+(the tilted sampler's acceptance test needs the first d - 1 only); every
+complex stack is drawn by `_ginibre`, in one order: all real parts, then all
+imaginary parts, filled in bounded blocks that continue one bulk draw number
+for number.  Every Monte-Carlo mean and standard error in the package comes
 from `_mean_stderr`.
 """
 
@@ -26,22 +29,27 @@ from .roots import RootSystem, _check_count, _check_matrix, _check_real, _check_
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-10
 _DET_TOL = 1e-8
+#: normals drawn at a time by `_ginibre`
+_NORMAL_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Haar sampling
 
 
-def _positive_qr_q(z: np.ndarray) -> np.ndarray:
+def _positive_qr_q(z: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
     """The Q of z = QR with a positive R diagonal, for a stack (n, d, d).
 
     z may be complex or real; a real z gives a real orthogonal Q.
     Classical Gram-Schmidt over the columns, projecting twice before each
     normalisation; the second pass restores orthogonality to working
-    precision (Giraud, Langou & Rozloznik 2005).  Overwrites and returns z.
+    precision (Giraud, Langou & Rozloznik 2005).  Only columns start to
+    stop - 1 (by default all) are orthonormalised, against the earlier ones,
+    which must be done already; a column's bits do not depend on how the
+    range is split.  Overwrites and returns z.
     """
     real = not np.iscomplexobj(z)
-    for j in range(z.shape[-1]):
+    for j in range(start, z.shape[-1] if stop is None else stop):
         v = z[:, :, j]
         if j:
             done = z[:, :, :j]
@@ -56,12 +64,16 @@ def _positive_qr_q(z: np.ndarray) -> np.ndarray:
 def _ginibre(d: int, n: int, rng) -> np.ndarray:
     """n complex Ginibre matrices, shape (n, d, d): real normals, then imaginary normals.
 
-    The package's one complex draw order: `haar_unitary_batch` and the clouds
-    read the same stream through it.
+    The package's one complex draw order: `haar_unitary_batch`, the tilted
+    sampler and the clouds read the same stream through it.  Each part is
+    filled in blocks of _NORMAL_BLOCK normals, which continue one bulk draw
+    number for number, so no temporary grows with n.
     """
     z = np.empty((n, d, d), dtype=complex)
-    z.real = rng.standard_normal((n, d, d))
-    z.imag = rng.standard_normal((n, d, d))
+    flat = z.reshape(-1)
+    for part in (flat.real, flat.imag):
+        for lo in range(0, flat.size, _NORMAL_BLOCK):
+            part[lo : lo + _NORMAL_BLOCK] = rng.standard_normal(min(_NORMAL_BLOCK, flat.size - lo))
     return z
 
 

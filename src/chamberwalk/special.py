@@ -34,6 +34,10 @@ Accuracy.  ``est_abs_error`` is an error bound computed in the same pass:
     |Im<alpha, z>| < pi and takes R = pi / (2 max <alpha, v>).
   * x = 0 or lambda = 0 gives psi exactly 1, and x = 0 gives m1 exactly 0.
   * phi's bound is psi's divided by the semicharacter, plus eps |phi|.
+  * psi, phi and m1 refuse an x or lambda unless max |v_i| times |rho|_1 is a
+    finite float (`_check_reach`), and a value or bound that still overflows
+    is reported with bound inf (psi, phi) or refused (m1, the semicharacter),
+    never with a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -92,11 +96,15 @@ def _constants(family: str, rank: int) -> tuple[float, np.ndarray, np.ndarray, f
 
 
 def _log_sinhc(t):
-    """log(sinh t / t), elementwise, stable at 0 and for large |t|."""
+    """log(sinh t / t), elementwise, stable at 0 and for large |t|, and inf at inf.
+
+    Past 2^1022, where 2t overflows, log 2t is far below t's last bit and is
+    taken at 2^1022 instead.
+    """
     t = np.abs(t)
     small = t < 1e-4
     tl = np.where(small, 1.0, t)
-    out = tl + np.log1p(-np.exp(-2.0 * tl)) - np.log(2.0 * tl)
+    out = tl + np.log1p(-np.exp(-2.0 * tl)) - np.log(2.0 * np.minimum(tl, 2.0**1022))
     if small.any():
         ts = np.where(small, t, 0.0)
         out = np.where(small, np.log1p(ts * ts / 6.0 + ts**4 / 120.0), out)
@@ -104,8 +112,10 @@ def _log_sinhc(t):
 
 
 def log_semicharacter(rs: RootSystem, x) -> float:
+    """log semicharacter(x), inf where it overflows a float."""
     x = _check_vec(rs, x)
-    return float(np.sum(_log_sinhc(rs.positive_roots @ x)))
+    with np.errstate(over="ignore"):
+        return float(np.sum(_log_sinhc(rs.positive_roots @ x)))
 
 
 def semicharacter(rs: RootSystem, x) -> float:
@@ -121,7 +131,8 @@ def semicharacter(rs: RootSystem, x) -> float:
 def log_semicharacter_rows(rs: RootSystem, xs) -> np.ndarray:
     """log_semicharacter applied to each row of ``xs``."""
     xs = _check_vec(rs, xs, rows=True)
-    return np.sum(_log_sinhc(xs @ rs.positive_roots.T), axis=-1)
+    with np.errstate(over="ignore"):
+        return np.sum(_log_sinhc(xs @ rs.positive_roots.T), axis=-1)
 
 
 def _log_pi_rows(rs: RootSystem, vs: np.ndarray) -> np.ndarray:
@@ -258,15 +269,33 @@ class SphericalRows:
     est_abs_error: np.ndarray  # (n,) float
 
 
+def _check_reach(rs: RootSystem, v: np.ndarray, name: str) -> None:
+    """Refuse a point, or a row of ``v``, unless max |v_i| times |rho|_1 is a finite float.
+
+    W permutes coordinates up to sign, so that bounds every root pairing,
+    every <w.v, rho> and each partial sum of one: the kernels' exponents stay finite.
+    """
+    rows = np.atleast_2d(v)
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero(np.isinf(np.abs(rows).max(axis=-1) * np.abs(rs.rho).sum()))
+    if bad.size:
+        point = np.real_if_close(rows[bad[0]]).tolist()
+        raise ValueError(f"{name} {point} is out of range: max |{name}_i| times the 1-norm "
+                         "of rho exceeds the largest float")
+
+
 def _psi_or_phi(kind: str, rs: RootSystem, lam, xs: np.ndarray):
     lam = _check_vec(rs, lam, dtype=complex)
-    # phi = psi / semicharacter, divided inside psi's log-domain prefactor
-    log_scale = log_semicharacter_rows(rs, xs) if kind == "phi" else None
-    values, wall, errors = _kernel(rs, "psi", lam, xs, log_scale)
-    if kind == "phi":
-        errors += _EPS * np.abs(values)
-    # a value that overflowed leaves no digits to bound
-    errors[~np.isfinite(values)] = np.inf
+    _check_reach(rs, xs, "x")
+    _check_reach(rs, lam, "lambda")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # phi = psi / semicharacter, divided inside psi's log-domain prefactor
+        log_scale = log_semicharacter_rows(rs, xs) if kind == "phi" else None
+        values, wall, errors = _kernel(rs, "psi", lam, xs, log_scale)
+        if kind == "phi":
+            errors += _EPS * np.abs(values)
+    # a value that overflowed leaves no digits to bound, nor does a bound that did
+    errors[~(np.isfinite(values) & np.isfinite(errors))] = np.inf
     return values, wall, errors
 
 
@@ -306,8 +335,10 @@ def spherical_phi(rs: RootSystem, lam, x) -> SphericalValue:
 
 
 def _m1_rows(rs: RootSystem, xs: np.ndarray) -> np.ndarray:
-    # m1 divides by an alternating sum, which can cancel to 0: refuse that row
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # m1 divides by an alternating sum, which can cancel to 0: refuse that row.
+    # A term e^{<w.x, rho> - max} whose exponent overflows to -inf is 0, as it should be
+    _check_reach(rs, xs, "x")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values = _kernel(rs, "m1", None, xs)[0]
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:

@@ -270,11 +270,15 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
 
     Rejection sampling against the Haar orbit with envelope exp(<rho, x>)
     (dominance of the rho-pairing at the chamber representative).  The
-    orbit U x U* is drawn with U Haar in U(d), whose phase cancels.  Each
-    round draws its proposals' U and uniforms up front, then takes the
-    acceptance exponent from the diagonal |U|^2 x in chunks of at most 2^20
-    entries, so U x U* is formed for accepted proposals alone.  Every
-    proposal is checked against the envelope.
+    orbit U x U* is drawn with U Haar in U(d), the positive-R Q of a
+    Ginibre draw, whose phase cancels.  Each round draws its proposals'
+    Ginibre stack and uniforms up front, then works in place on that one
+    stack in chunks of at most 2^20 entries: Gram-Schmidt on the first
+    d - 1 columns of every proposal, whose |U|^2 gives the acceptance
+    exponent <rho, |U|^2 x> = sum_{j<d} (x_j - x_d) <rho, |u_j|^2> (each
+    row of |U|^2 sums to 1 and rho to 0), and every proposal checked
+    against the envelope; the last column is completed, and U x U* formed,
+    for the accepted proposals alone.
     Returns (matrices (n,d,d), n_proposed).
     """
     rs = build_root_system("A", d - 1)
@@ -287,23 +291,24 @@ def tilted_orbit_batch(d: int, x, n: int, rng):
 
     rate = rejection_rate(rs, x)
     rows = max(1, _STEP_ENTRIES // (d * d))
+    dx = x[:-1] - x[-1]
     out = np.empty((n, d, d), dtype=complex)
     got = 0
     proposed = 0
     while got < n:
         m = max(int(math.ceil((n - got) / rate * 1.2)), 16)
-        us = kernels.haar_unitary_batch(d, m, rng)
+        zs = kernels._ginibre(d, m, rng)
         log_u = np.log(rng.random(m))
         for lo in range(0, m, rows):
-            u = us[lo : lo + rows]
-            log_acc = (np.abs(u) ** 2 @ x) @ rs.rho - rho_x
+            u = kernels._positive_qr_q(zs[lo : lo + rows], stop=d - 1)
+            log_acc = (rs.rho @ np.abs(u[:, :, :-1]) ** 2) @ dx - rho_x
             if np.any(log_acc > 1e-9):
                 raise RuntimeError(
                     "rejection envelope violated: <rho, k.x> exceeded <rho, x> "
                     "(this falsifies the dominance invariant and is a bug)"
                 )
             keep = np.flatnonzero(log_u[lo : lo + rows] < log_acc)[: n - got]
-            u = u[keep]
+            u = kernels._positive_qr_q(u[keep], start=d - 1)
             out[got : got + keep.size] = (u * x) @ np.conj(np.swapaxes(u, -1, -2))
             got += keep.size
         proposed += m

@@ -194,6 +194,62 @@ def test_semicharacter_beyond_the_float_range_exits_2_in_one_line(capsys, argv, 
     assert captured.err.splitlines() == [message], captured.err
 
 
+_REACH = "is out of range: max |{0}_i| times the 1-norm of rho exceeds the largest float"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # log 2t overflowed in the semicharacter's log form, which then read -inf
+    (["eval", "semichar", "A", "1", "--x", "[8e307,-8e307]"],
+     "error: semicharacter is not finite at x = [8e+307, -8e+307]: it overflows a float"),
+    (["eval", "semichar", "A", "1", "--x", "[1e308,-1e308]"],
+     "error: semicharacter is not finite at x = [1e+308, -1e+308]: it overflows a float"),
+    (["eval", "psi", "A", "1", "--x", "[1e308,-1e308]", "--lambda", "[1,-1]"],
+     "error: x [1e+308, -1e+308] " + _REACH.format("x")),
+    (["eval", "phi", "A", "1", "--x", "[1e308,-1e308]", "--lambda", "[1,-1]"],
+     "error: x [1e+308, -1e+308] " + _REACH.format("x")),
+    (["eval", "psi", "A", "1", "--x", "[1,-1]", "--lambda", "[1e308,-1e308]"],
+     "error: lambda [1e+308, -1e+308] " + _REACH.format("lambda")),
+    (["eval", "m1", "A", "1", "--x", "[1e308,-1e308]"],
+     "error: x [1e+308, -1e+308] " + _REACH.format("x")),
+    # in range, but psi's rounding bound is not
+    (["eval", "psi", "A", "1", "--x", "[8e307,-8e307]", "--lambda", "[1,-1]"],
+     "error: eval result is not finite: a value overflows a float or is NaN"),
+    # the bump is 0 on both clouds, but the rhs weights overflow
+    (["check", "deformation", "--d", "2", "--x", "[1e300,-1e300]", "--y", "[1,-1]",
+      "--n", "100"],
+     "error: deformation check is not finite at x = [1e+300, -1e+300], y = [1.0, -1.0]: "
+     "a mean overflows a float or is NaN"),
+], ids=["semichar-8e307", "semichar-1e308", "psi", "phi", "psi-lambda", "m1", "psi-bound",
+        "deformation"])
+def test_eval_and_check_near_the_float_limit_exit_2_in_one_line(argv, message, tmp_path,
+                                                               capsys, recwarn):
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n", captured.err
+    assert not recwarn.list
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    # m1 = x - (1/2, -1/2), which rounds to x; e^{<w.x, rho> - max} is e^{-inf} = 0
+    (["eval", "m1", "A", "1", "--x", "[8e307,-8e307]"], "value", [8e307, -8e307]),
+    # the bump is 0 on both clouds, and so is every weighted term
+    (["check", "deformation", "--d", "2", "--x", "[1e300,-1e300]", "--y", "[1e300,-1e300]",
+      "--n", "100"], "lhs_re", 0.0),
+], ids=["m1", "deformation"])
+def test_eval_and_check_near_the_float_limit_answer_without_a_warning(argv, key, value,
+                                                                     capsys, recwarn):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    data = json.loads(out)
+    assert data[key] == value
+    if argv[0] == "check":
+        assert data["pass"] and data["rhs_re"] == 0.0
+    assert not recwarn.list
+
+
 def test_selftest_times_each_check_on_stderr(tmp_path, capsys):
     assert main(["selftest", "--level", "fast", "--out", str(tmp_path)]) == 0
     captured = capsys.readouterr()

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
+from chamberwalk import kernels
 from chamberwalk.kernels import (
     _biinvariant_batch,
     _mean_stderr,
@@ -283,6 +285,43 @@ def test_positive_qr_q_matches_lapack(d):
     q = _positive_qr_q(z.copy())
     assert q.dtype == float
     assert np.abs(q - _lapack_positive_q(z)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_positive_qr_q_column_ranges_keep_the_bits(d):
+    # the leading columns of every row, then the rest for a subset of rows,
+    # give the bits of one full pass on those rows
+    z = _ginibre(substream(6, 20 + d), 3000, d)
+    full = _positive_qr_q(z.copy())
+    for split in range(d + 1):
+        part = _positive_qr_q(z.copy(), stop=split)
+        rows = np.flatnonzero(substream(6, 30 + split).random(len(z)) < 0.3)
+        assert np.array_equal(part[:, :, :split], full[:, :, :split])
+        assert np.array_equal(_positive_qr_q(part[rows], start=split), full[rows])
+        assert np.array_equal(_positive_qr_q(part[rows[:1]], start=split), full[rows[:1]])
+
+
+def test_ginibre_blocks_continue_one_bulk_draw():
+    # 900,027 normals per part span 14 blocks, the last one partial
+    d, n = 3, 100_003
+    assert d * d * n > 13 * kernels._NORMAL_BLOCK
+    rng, ref_rng = substream(4, 0), substream(4, 0)
+    z = kernels._ginibre(d, n, rng)
+    ref = np.empty((n, d, d), dtype=complex)
+    ref.real = ref_rng.standard_normal((n, d, d))
+    ref.imag = ref_rng.standard_normal((n, d, d))
+    assert z.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
+def test_ginibre_peak_memory_is_its_output():
+    tracemalloc.start()
+    try:
+        z = kernels._ginibre(3, 100_003, substream(4, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * z.nbytes
 
 
 def test_positive_qr_q_near_singular_columns():

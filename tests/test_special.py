@@ -336,6 +336,65 @@ def test_semicharacter_refuses_a_value_beyond_the_float_range():
     assert math.isfinite(semicharacter(rs, [300.0, -300.0]))
 
 
+def test_semicharacter_refuses_a_value_past_2_to_the_1022(recwarn):
+    # at (8e307, -8e307) the root pairing t = 1.6e308 is finite but 2t is not;
+    # log 2t once overflowed there and the log form read -inf
+    rs = build_root_system("A", 1)
+    for x in ([8e307, -8e307], [1e308, -1e308]):
+        with pytest.raises(ValueError, match=r"^semicharacter is not finite at x = .*: it "
+                                             r"overflows a float$"):
+            semicharacter(rs, x)
+    assert log_semicharacter(rs, [8e307, -8e307]) == 1.6e308
+    assert log_semicharacter(rs, [1e308, -1e308]) == math.inf
+    assert np.array_equal(log_semicharacter_rows(rs, [[8e307, -8e307], [1.0, -1.0]]),
+                          [1.6e308, log_semicharacter(rs, [1.0, -1.0])])
+    assert not recwarn.list
+
+
+def test_log_sinhc_keeps_its_bits_in_range():
+    t = np.concatenate([np.geomspace(1e-4, 2.0**1022, 20_000), [2.0**1022], [0.0, 3e-5]])
+    tl = np.where(t < 1e-4, 1.0, t)
+    old = tl + np.log1p(-np.exp(-2.0 * tl)) - np.log(2.0 * tl)
+    ts = np.where(t < 1e-4, t, 0.0)
+    old = np.where(t < 1e-4, np.log1p(ts * ts / 6.0 + ts**4 / 120.0), old)
+    assert np.array_equal(special._log_sinhc(t), old)
+    assert np.array_equal(special._log_sinhc(-t), old)
+
+
+@pytest.mark.parametrize("family, rank, x", [
+    ("A", 1, [1e308, -1e308]),
+    ("A", 2, [8e307, 0.0, -8e307]),   # each root pairing is finite, <x, rho> is not
+    ("B", 2, [5e307, 1e307]),
+])
+def test_psi_phi_and_m1_refuse_a_point_out_of_reach(family, rank, x, recwarn):
+    rs = build_root_system(family, rank)
+    lam = rs.rho / np.abs(rs.rho).max()
+    message = r"^x \[.*\] is out of range: max \|x_i\| times the 1-norm of rho exceeds"
+    for call in (lambda: spherical_psi(rs, lam, x), lambda: spherical_phi(rs, lam, x),
+                 lambda: spherical_phi_rows(rs, lam, [0.5 * lam, x]), lambda: m1_closed(rs, x),
+                 lambda: m1_closed_rows(rs, [0.5 * lam, x])):
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(ValueError, match=r"^lambda \[.*\] is out of range"):
+        spherical_psi(rs, x, lam)
+    assert not recwarn.list
+
+
+def test_m1_and_psi_answer_at_8e307_without_a_warning(recwarn):
+    # e^{<w.x, rho> - max} overflows to e^{-inf} = 0 for the far image, so m1 = x - shift
+    rs = build_root_system("A", 1)
+    assert np.array_equal(m1_closed(rs, [8e307, -8e307]), [8e307, -8e307])
+    assert np.array_equal(m1_closed(rs, [6e307, -6e307]), [6e307, -6e307])
+    # psi decays like 1 / pi(x); its bound at (8e307, -8e307) overflows and reads inf
+    sv = spherical_psi(rs, [0.5, -0.5], [6e307, -6e307])
+    assert abs(sv.value) < 1e-300 and sv.est_abs_error < 1e-15
+    sv = spherical_psi(rs, [1.0, -1.0], [8e307, -8e307])
+    assert math.isfinite(abs(sv.value)) and sv.est_abs_error == math.inf
+    sv = spherical_phi(rs, [1.0, -1.0], [8e307, -8e307])
+    assert sv.value == 0.0 and sv.est_abs_error == math.inf
+    assert not recwarn.list
+
+
 def test_dimension_mismatch_raises():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):

@@ -409,10 +409,71 @@ def test_tilted_orbit_batch_matches_direct_sampler(d, x, n, seed):
     assert np.abs(mats - ref).max() < 1e-13
 
 
+def _tilted_full_qr(d, x, n, rng):
+    """The tilted sampler with a full Haar stack per round: Gram-Schmidt on every
+    column of every proposal, the exponent read off all of |U|^2 x, and U x U*
+    formed for the accepted proposals; the chunked sampler must match its bits."""
+    rs = build_root_system("A", d - 1)
+    x = np.asarray(x, dtype=float)
+    rho_x = float(rs.rho @ x)
+    if not x.any():
+        return np.zeros((n, d, d), dtype=complex), n
+    rate = rejection_rate(rs, x)
+    rows = max(1, walk._STEP_ENTRIES // (d * d))
+    out = np.empty((n, d, d), dtype=complex)
+    got = 0
+    proposed = 0
+    while got < n:
+        m = max(int(math.ceil((n - got) / rate * 1.2)), 16)
+        us = kernels.haar_unitary_batch(d, m, rng)
+        log_u = np.log(rng.random(m))
+        for lo in range(0, m, rows):
+            u = us[lo : lo + rows]
+            log_acc = (np.abs(u) ** 2 @ x) @ rs.rho - rho_x
+            assert not np.any(log_acc > 1e-9)
+            keep = np.flatnonzero(log_u[lo : lo + rows] < log_acc)[: n - got]
+            u = u[keep]
+            out[got : got + keep.size] = (u * x) @ np.conj(np.swapaxes(u, -1, -2))
+            got += keep.size
+        proposed += m
+    return out, proposed
+
+
+@pytest.mark.parametrize("d, x, n", [
+    (2, [0.5, -0.5], 4000),
+    (3, [0.5, 0.0, -0.5], 4000),
+    (4, [0.6, 0.2, -0.3, -0.5], 3000),
+    (3, [1.0, 0.0, -1.0], 6000),    # two 2^20-entry chunks per round
+    (3, [1.0, 0.0, -1.0], 5),       # seeds 0, 1 and 2 need a second round
+    (2, [0.5, -0.5], 0),
+    (3, [0.0, 0.0, 0.0], 7),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_tilted_orbit_batch_is_bit_identical_to_full_gram_schmidt(d, x, n, seed):
+    ref, ref_proposed = _tilted_full_qr(d, x, n, substream(seed, 1))
+    rng = substream(seed, 1)
+    mats, proposed = tilted_orbit_batch(d, x, n, rng)
+    assert proposed == ref_proposed
+    assert mats.shape == (n, d, d) and np.array_equal(mats, ref)
+    # both left the stream at the same point
+    ref_rng = substream(seed, 1)
+    _tilted_full_qr(d, x, n, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+def test_tilted_orbit_batch_second_round_is_bit_identical():
+    # at d = 2, x = (0.5, -0.5), n = 100 the first round draws 278 proposals;
+    # at seed 20 they accept fewer than 100, so a second round runs
+    ref, ref_proposed = _tilted_full_qr(2, [0.5, -0.5], 100, substream(20, 1))
+    mats, proposed = tilted_orbit_batch(2, [0.5, -0.5], 100, substream(20, 1))
+    assert proposed == ref_proposed > 278
+    assert np.array_equal(mats, ref)
+
+
 def test_tilted_orbit_batch_memory_stays_near_its_draws():
-    # one round at d=3, x=(1,0,-1), n=25000 draws 0.65 M proposals; the
-    # Ginibre stacks take 2 * m * d^2 * 8 bytes, and U x U* for every
-    # proposal alone would take as much again
+    # one round at d=3, x=(1,0,-1), n=25000 draws 0.65 M proposals; their
+    # Ginibre stack takes 2 * m * d^2 * 8 bytes, and Gram-Schmidt, the
+    # acceptance test and U x U* work in place on it, chunk by chunk
     d, x, n = 3, [1.0, 0.0, -1.0], 25_000
     m = math.ceil(n / rejection_rate(build_root_system("A", 2), x) * 1.2)
     tracemalloc.start()
@@ -422,27 +483,36 @@ def test_tilted_orbit_batch_memory_stays_near_its_draws():
     finally:
         tracemalloc.stop()
     assert proposed == m
-    assert peak < 2 * (2 * m * d * d * 8)
+    assert peak < 1.4 * (2 * m * d * d * 8)
 
 
 def test_tilted_orbit_batch_checks_the_envelope_past_the_last_acceptance(monkeypatch):
     # at d = 2, x = (0.5, -0.5) the rate is 0.43, so n = 1e5 draws 277,565
     # proposals, read in chunks of 2^18 rows, and the first chunk alone
-    # accepts about 113,000; the last proposal, in the second chunk, is made
-    # non-unitary (2 I, so <rho, k.x> = 4 <rho, x>) and must still be caught
-    draw = kernels.haar_unitary_batch
-    sizes = []
+    # accepts about 113,000; Gram-Schmidt leaves the last proposal, in the
+    # second chunk, with first column 2 e_1 (so <rho, k.x> = 4 <rho, x>),
+    # and the envelope check must still catch it
+    ginibre, positive_qr_q = kernels._ginibre, kernels._positive_qr_q
+    sizes, chunks = [], []
 
-    def spoiled(d, n, rng):
-        u = draw(d, n, rng)
+    def drawn(d, n, rng):
         sizes.append(n)
-        u[-1] = 2.0 * np.eye(d)
-        return u
+        return ginibre(d, n, rng)
 
-    monkeypatch.setattr(kernels, "haar_unitary_batch", spoiled)
+    def spoiled(z, start=0, stop=None):
+        q = positive_qr_q(z, start, stop)
+        if start == 0:
+            chunks.append(len(q))
+            if len(chunks) == 2:
+                q[-1, :, :stop] = 2.0 * np.eye(q.shape[-1])[:, :stop]
+        return q
+
+    monkeypatch.setattr(kernels, "_ginibre", drawn)
+    monkeypatch.setattr(kernels, "_positive_qr_q", spoiled)
     with pytest.raises(RuntimeError, match="envelope"):
         tilted_orbit_batch(2, [0.5, -0.5], 100_000, substream(0, 1))
     assert sizes == [277_565]
+    assert chunks == [1 << 18, 277_565 - (1 << 18)]
 
 
 def test_crosscheck_equality_in_law():
