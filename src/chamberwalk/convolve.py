@@ -11,7 +11,8 @@ At d >= 3 the map takes the QR and calls `kernels._p` or `_q`.  At d = 2 both
 spectra are (s, -s) and depend on the draw only through t = |U_11|^2, read
 from the draw's first column: with a, b the half-widths of x and y,
 s^2 = t (a + b)^2 + (1 - t)(a - b)^2 on the Hermitian side and
-sinh^2 s = t sinh^2(a + b) + (1 - t) sinh^2(a - b) on the group side.
+sinh^2 s = t sinh^2(a + b) + (1 - t) sinh^2(a - b) on the group side, taken in
+logs, so finite wherever a + b is and right to relative rounding at every scale.
 On top of the samplers: the deformation-identity check, semicharacter
 multiplicativity, the support-equivalence test, the empirical spherical
 transform and its homomorphism check.
@@ -31,6 +32,7 @@ from .roots import (RootSystem, _check_chamber, _check_count, _check_real, _chec
                     _check_weights, build_root_system)
 from .special import (
     _LOG_FLOAT_MAX,
+    _log_sinhc,
     log_semicharacter,
     log_semicharacter_rows,
     spherical_phi_rows,
@@ -42,8 +44,6 @@ from .special import (
 EPS_SUPP = 1e-3
 
 _CHUNK = 50_000
-#: a + b beyond which the A_1 group map works in logs; sinh^2(a + b) overflows past 355
-_LOG_SINH_FROM = 350.0
 #: random split halves per cloud in `support_equivalence`
 _SELF_SPLITS = 4
 #: rows formatted per write by `EmpiricalMeasure.write_csv`
@@ -180,12 +180,6 @@ def _a1(x, y, z):
     return w[:, 0] / (w[:, 0] + w[:, 1]), (x[0] - x[1]) / 2.0, (y[0] - y[1]) / 2.0
 
 
-def _log_sinh(w: float) -> float:
-    """log sinh w for w >= 0, with no overflow; -inf at 0."""
-    with np.errstate(divide="ignore"):
-        return w - math.log(2.0) + float(np.log(-np.expm1(-2.0 * w)))
-
-
 def _hermitian_spectra(x, y, z):
     """p(diag(x) + U diag(y) U*), U the positive-R Q of z.  At d = 2 the spectrum is
     (s, -s) with s^2 = t (a + b)^2 + (1 - t)(a - b)^2."""
@@ -199,20 +193,19 @@ def _hermitian_spectra(x, y, z):
 
 def _group_spectra(x, y, z):
     """q(e^diag(x) U e^diag(y)), U the positive-R Q of z.  At d = 2 it is (s, -s) with
-    sinh^2 s = t sinh^2(a + b) + (1 - t) sinh^2(a - b), taken in logs once a + b passes
-    `_LOG_SINH_FROM`.  At d >= 3 a sample beyond the float range raises ValueError
-    naming x and y."""
+    sinh^2 s = t sinh^2(a + b) + (1 - t) sinh^2(a - b), taken in logs: finite wherever
+    a + b is, and right to relative rounding at every scale.  At d >= 3 a sample beyond
+    the float range raises ValueError naming x and y."""
     if len(x) == 2:
         t, a, b = _a1(x, y, z)
-        if a + b <= _LOG_SINH_FROM:
-            s = np.arcsinh(np.sqrt(t * math.sinh(a + b) ** 2 + (1.0 - t) * math.sinh(a - b) ** 2))
-        else:
-            with np.errstate(divide="ignore"):
-                log_sinh_s = 0.5 * np.logaddexp(np.log(t) + 2.0 * _log_sinh(a + b),
-                                                np.log1p(-t) + 2.0 * _log_sinh(abs(a - b)))
-            # sinh s = e^l gives s = l + log 2 to within e^{-2l} / 4
-            s = np.where(log_sinh_s > 20.0, log_sinh_s + math.log(2.0),
-                         np.arcsinh(np.exp(np.minimum(log_sinh_s, 20.0))))
+        w = np.array([a + b, abs(a - b)])
+        with np.errstate(divide="ignore"):
+            log_sinh_w = _log_sinhc(w) + np.log(w)
+            log_sinh_s = 0.5 * np.logaddexp(np.log(t) + 2.0 * log_sinh_w[0],
+                                            np.log1p(-t) + 2.0 * log_sinh_w[1])
+        # sinh s = e^l gives s = l + log 2 to within e^{-2l} / 4
+        s = np.where(log_sinh_s > 20.0, log_sinh_s + math.log(2.0),
+                     np.arcsinh(np.exp(np.minimum(log_sinh_s, 20.0))))
         return np.stack([s, -s], axis=1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = np.exp(x)[:, None] * kernels._positive_qr_q(z) * np.exp(y)
@@ -232,7 +225,8 @@ def conv_hermitian_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
 def conv_group_cloud(d: int, x, y, n: int, rng) -> np.ndarray:
     """n samples from delta_x . delta_y: q(e^diag(x) U e^diag(y)), in closed form
     from t = |U_11|^2 at d = 2 and by svd at d >= 3.  At d = 2 it is finite wherever
-    a + b is; at d >= 3 a sample beyond the float range raises ValueError."""
+    a + b is and right to relative rounding; at d >= 3 a sample beyond the float range
+    raises ValueError."""
     return _cloud(d, x, y, n, rng, _group_spectra)
 
 
@@ -252,7 +246,8 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
     lhs: plain MC mean of f over the group convolution.
     rhs: semicharacter-weighted MC mean over the Hermitian convolution,
     normalized by the semicharacter values at x and y (weights handled in
-    the log domain).  A side that is not finite raises ValueError naming x and y.
+    the log domain).  A side that is not finite, or nonzero and subnormal, where it
+    holds only rounding, raises ValueError naming x and y.
     """
     rs = build_root_system("A", d - 1)
     fn = _test_function(rs, f)
@@ -266,9 +261,13 @@ def deformation_check(d: int, x, y, f, n: int, rng) -> CheckResult:
         log_w -= log_semicharacter(rs, x) + log_semicharacter(rs, y)
         rhs, se_rhs = kernels._mean_stderr(fn(zh) * np.exp(log_w))
     if not np.isfinite([lhs, rhs, se_lhs, se_rhs]).all():
-        raise ValueError(f"deformation check is not finite at x = {_check_vec(rs, x).tolist()}, "
-                         f"y = {_check_vec(rs, y).tolist()}: a mean overflows a float or is NaN")
-    return CheckResult(lhs, rhs, se_lhs, se_rhs)
+        fault = "is not finite at {}: a mean overflows a float or is NaN"
+    elif any(0.0 < abs(side) < np.finfo(float).tiny for side in (lhs, rhs)):
+        fault = "is subnormal at {}: a nonzero mean is below the smallest normal float"
+    else:
+        return CheckResult(lhs, rhs, se_lhs, se_rhs)
+    where = f"x = {_check_vec(rs, x).tolist()}, y = {_check_vec(rs, y).tolist()}"
+    raise ValueError("deformation check " + fault.format(where))
 
 
 def semicharacter_multiplicativity(d: int, x, y, n: int, rng) -> CheckResult:

@@ -12,8 +12,8 @@ batched kernel over a (rows x |W|) array: psi's sum_w det w e^{i<w.x, lambda>},
 and m1's sum_w det w (w.x) e^{<w.x, rho>} over sum_w det w e^{<w.x, rho>}.
 phi_lambda = psi_lambda / psi_{-i rho} divides psi by the semicharacter, a
 stable product, inside psi's log-domain prefactor.  The row forms take a
-batch ``xs`` of shape (n, dim) (one lambda for all rows); the per-point
-functions are their one-row cases and give bit-identical values.
+batch ``xs`` of shape (n, dim) (one lambda for all rows); each per-point
+function, the semicharacter too, is its one-row case, bit for bit.
 
 psi's prefactor is pinned by the normalization psi_lambda(0)=1: with rho the
 *sum* of positive roots it is pi(rho/2), cross-checked against the
@@ -22,8 +22,9 @@ Haar-integral Monte Carlo oracle in the test suite.
 Accuracy.  ``est_abs_error`` is an error bound computed in the same pass:
   * at a regular point, psi's rounding bound eps * sum_w (1 + |z_w|)
     |e^{z_w - m}| times the prefactor's modulus (z_w the exponents, m their
-    largest real part).  The sum cancels when x is small, most in C_3, D_4
-    and higher rank; the bound grows with the lost digits.
+    largest real part), with eps applied to each term before the sum, so the
+    bound is finite wherever its terms are.  The sum cancels when x is small,
+    most in C_3, D_4 and higher rank; the bound grows with the lost digits.
   * within EPS_REG of a wall (min |<alpha, x>| or |<alpha, lambda>|), where
     the sums are 0/0, the contour rule runs (``regularized=True``): each
     argument on a wall moves to z + zeta v, v = rho/|rho|, and the value is
@@ -113,9 +114,7 @@ def _log_sinhc(t):
 
 def log_semicharacter(rs: RootSystem, x) -> float:
     """log semicharacter(x), inf where it overflows a float."""
-    x = _check_vec(rs, x)
-    with np.errstate(over="ignore"):
-        return float(np.sum(_log_sinhc(rs.positive_roots @ x)))
+    return float(log_semicharacter_rows(rs, _check_vec(rs, x)[None, :])[0])
 
 
 def semicharacter(rs: RootSystem, x) -> float:
@@ -162,9 +161,9 @@ def _alt_terms(z: np.ndarray, dets: np.ndarray):
 
 
 def _rounding_bound(z: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    # eps * sum_w (1 + |z_w|) |e^(z_w - m)|: each exponential's own rounding
-    # plus the absolute rounding of z_w that it amplifies
-    return _EPS * ((1.0 + np.abs(z)) * np.abs(terms)).sum(axis=1)
+    # eps * sum_w (1 + |z_w|) |e^(z_w - m)|: each exponential's own rounding plus the
+    # absolute rounding of z_w that it amplifies; eps scales each term, exactly, so no sum overflows
+    return ((_EPS * (1.0 + np.abs(z))) * np.abs(terms)).sum(axis=1)
 
 
 def _regular_rows(rs: RootSystem, kind: str, lam, xs: np.ndarray, log_scale):

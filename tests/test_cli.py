@@ -211,16 +211,19 @@ _REACH = "is out of range: max |{0}_i| times the 1-norm of rho exceeds the large
      "error: lambda [1e+308, -1e+308] " + _REACH.format("lambda")),
     (["eval", "m1", "A", "1", "--x", "[1e308,-1e308]"],
      "error: x [1e+308, -1e+308] " + _REACH.format("x")),
-    # in range, but psi's rounding bound is not
-    (["eval", "psi", "A", "1", "--x", "[8e307,-8e307]", "--lambda", "[1,-1]"],
-     "error: eval result is not finite: a value overflows a float or is NaN"),
     # the bump is 0 on both clouds, but the rhs weights overflow
     (["check", "deformation", "--d", "2", "--x", "[1e300,-1e300]", "--y", "[1,-1]",
       "--n", "100"],
      "error: deformation check is not finite at x = [1e+300, -1e+300], y = [1.0, -1.0]: "
      "a mean overflows a float or is NaN"),
-], ids=["semichar-8e307", "semichar-1e308", "psi", "phi", "psi-lambda", "m1", "psi-bound",
-        "deformation"])
+    # phi is about 1e-313 on the group cloud and 1e-311 on the weighted Hermitian one:
+    # subnormal sides that hold only rounding
+    (["check", "deformation", "--d", "2", "--x", "[180,-180]", "--y", "[180,-180]",
+      "--n", "1000", "--lambda", "[0.5,-0.5]"],
+     "error: deformation check is subnormal at x = [180.0, -180.0], y = [180.0, -180.0]: "
+     "a nonzero mean is below the smallest normal float"),
+], ids=["semichar-8e307", "semichar-1e308", "psi", "phi", "psi-lambda", "m1", "deformation",
+        "deformation-subnormal"])
 def test_eval_and_check_near_the_float_limit_exit_2_in_one_line(argv, message, tmp_path,
                                                                capsys, recwarn):
     out = tmp_path / "r.json"
@@ -238,7 +241,13 @@ def test_eval_and_check_near_the_float_limit_exit_2_in_one_line(argv, message, t
     # the bump is 0 on both clouds, and so is every weighted term
     (["check", "deformation", "--d", "2", "--x", "[1e300,-1e300]", "--y", "[1e300,-1e300]",
       "--n", "100"], "lhs_re", 0.0),
-], ids=["m1", "deformation"])
+    # psi's rounding bound is finite here: eps scales each term before the sum
+    (["eval", "psi", "A", "1", "--x", "[8e307,-8e307]", "--lambda", "[1,-1]"],
+     "est_abs_error", 2.2204460492506193e-16),
+    # phi is psi over a semicharacter of about e^(1.6e308): 0 to all digits
+    (["eval", "phi", "A", "1", "--x", "[8e307,-8e307]", "--lambda", "[1,-1]"],
+     "value_re", 0.0),
+], ids=["m1", "deformation", "psi-bound", "phi-bound"])
 def test_eval_and_check_near_the_float_limit_answer_without_a_warning(argv, key, value,
                                                                      capsys, recwarn):
     code, out = run_cli(capsys, *argv)

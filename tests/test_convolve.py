@@ -254,7 +254,7 @@ def test_clouds_equal_su_clouds(d, x, y):
 
 
 #: the half-widths a, b of x = (a, -a) and y = (b, -b) in the A_1 oracle
-_A1_HALF_WIDTHS = [1e-3, 0.1, 1.0, 20.0, 200.0, 400.0]
+_A1_HALF_WIDTHS = [1e-200, 1e-160, 1e-3, 0.1, 1.0, 20.0, 200.0, 349.0, 351.0, 400.0]
 
 
 @pytest.mark.parametrize("a", _A1_HALF_WIDTHS)
@@ -285,6 +285,8 @@ def test_a1_maps_match_an_mpmath_oracle(a):
                 assert np.array_equal(got[:, 1], -got[:, 0])
                 err = np.abs(got[:, 0] - s) / np.maximum(1.0, s)
                 assert err.max() <= 1e-14, (spectra.__name__, a, b, err.max())
+                rel = np.abs(got[s > 0, 0] - s[s > 0]) / s[s > 0]
+                assert rel.max() <= 1e-12, (spectra.__name__, a, b, rel.max())
 
 
 def _matrix_cloud(spectra, x, y, n, rng):

@@ -52,6 +52,29 @@ def test_no_public_name_is_test_only():
     assert unused == []
 
 
+def test_no_private_name_is_unread():
+    """Each module-level private function, class or constant is read somewhere in the
+    package, so a formula that nothing calls any more cannot stay behind."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    assert len(defined) > 60  # the walk found the package's private names
+    assert [f"{module}:{name}" for module, name in defined if name not in read] == []
+
+
 def test_only_roots_converts_an_argument():
     """No public function outside roots hands one of its own parameters to a numpy
     converter: vectors, rows, measures and matrices go through the validators in roots."""

@@ -385,13 +385,13 @@ def test_m1_and_psi_answer_at_8e307_without_a_warning(recwarn):
     rs = build_root_system("A", 1)
     assert np.array_equal(m1_closed(rs, [8e307, -8e307]), [8e307, -8e307])
     assert np.array_equal(m1_closed(rs, [6e307, -6e307]), [6e307, -6e307])
-    # psi decays like 1 / pi(x); its bound at (8e307, -8e307) overflows and reads inf
+    # psi decays like 1 / pi(x); eps scales each term of its bound, which stays finite
     sv = spherical_psi(rs, [0.5, -0.5], [6e307, -6e307])
     assert abs(sv.value) < 1e-300 and sv.est_abs_error < 1e-15
     sv = spherical_psi(rs, [1.0, -1.0], [8e307, -8e307])
-    assert math.isfinite(abs(sv.value)) and sv.est_abs_error == math.inf
+    assert abs(sv.value) < 1e-300 and sv.est_abs_error < 1e-15
     sv = spherical_phi(rs, [1.0, -1.0], [8e307, -8e307])
-    assert sv.value == 0.0 and sv.est_abs_error == math.inf
+    assert sv.value == 0.0 and sv.est_abs_error < 1e-15
     assert not recwarn.list
 
 
